@@ -40,7 +40,7 @@ def build_parser():
     parser.add_argument("--area", type=float,
                         help="custom: domain area/volume for patch sizing")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads for patch fits and batch evaluation")
+                        help="threads for batch evaluation only")
     return parser
 
 

@@ -169,7 +169,7 @@ def fit_and_glue(problem, nodes, values, config):
                                    problem.surface, h)
     approx, _, solution = build_approximant(
         cov, kernel, problem.surface, problem.mode, values,
-        gamma=config.gamma, workers=config.workers)
+        gamma=config.gamma)
     return approx, solution
 
 

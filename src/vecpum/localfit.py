@@ -51,6 +51,8 @@ class SampleSet:
     def validate(self, surface, mode):
         if len(self.nodes) == 0:
             raise ValueError("sample set is empty")
+        if not all(np.isfinite(v).all() for v in (self.nodes, self.values)):
+            raise ValueError("sample nodes and values must be finite")
         if len(self.nodes) > 1:
             dist, _ = cKDTree(self.nodes).query(self.nodes, k=2)
             if dist[:, 1].min() == 0.0:
@@ -122,18 +124,29 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
     if frames is None:
         frames = surface.tangent_frames(nodes)
     left, right, sign = _surface_bases(mode, frames)
+    # Row 2i+p of the flattened bases is L_ip (R_ip).  As L_ip.(x_i - x_j)
+    # = L_ip.x_i - L_ip.x_j, one product with the node coordinates gives
+    # every frame contraction with the difference vectors.
+    left = left.reshape(-1, 3)
+    right = right.reshape(-1, 3)
+    node_rows = np.repeat(nodes, 2, axis=0)
+    r_x = right @ nodes.T
+    r_self = (right * node_rows).sum(-1)
     a = np.empty((2 * n, 2 * n))
     for i0 in range(0, n, _ASSEMBLY_BLOCK):
         i1 = min(i0 + _ASSEMBLY_BLOCK, n)
-        diff = nodes[i0:i1, None, :] - nodes[None, :, :]
-        r = np.sqrt((diff * diff).sum(-1))
-        f, s = kernel.hessian_coeffs(r)
-        t_id = np.einsum("ipa,jqa->ipjq", left[i0:i1], right)
-        ld = np.einsum("ipa,ija->ipj", left[i0:i1], diff)
-        rd = np.einsum("jqa,ija->ijq", right, diff)
-        blk = (f[:, None, :, None] * t_id +
-               s[:, None, :, None] * ld[:, :, :, None] * rd[:, None, :, :])
-        a[2 * i0:2 * i1] = (sign * blk).reshape(2 * (i1 - i0), 2 * n)
+        m = i1 - i0
+        r2 = sum((nodes[i0:i1, None, c] - nodes[None, :, c]) ** 2
+                 for c in range(3))
+        f, s = kernel.hessian_coeffs(np.sqrt(r2))
+        lb = left[2 * i0:2 * i1]
+        ld = (lb * node_rows[2 * i0:2 * i1]).sum(-1)[:, None] - lb @ nodes.T
+        rd = r_x[:, i0:i1].T - r_self
+        blk = a[2 * i0:2 * i1].reshape(m, 2, n, 2)
+        np.multiply((sign * s)[:, None, :, None] * ld.reshape(m, 2, n, 1),
+                    rd.reshape(m, 1, n, 2), out=blk)
+        blk += ((sign * f)[:, None, :, None] *
+                (lb @ right.T).reshape(m, 2, n, 2))
     return 0.5 * (a + a.T)
 
 
@@ -223,40 +236,35 @@ def fit_patch(samples, kernel, surface, mode, frames=None, patch_id=None):
     samples.validate(surface, mode)
     nodes, values = samples.nodes, samples.values
     n = len(nodes)
-
+    alpha_beta = None
     if mode == "curl_euclidean":
         a = assemble_system(kernel, surface, nodes, mode)
-        sol = _solve_spd(a, values.reshape(-1), patch_id)
-        coef = sol.reshape(n, nodes.shape[1])
-        fit = LocalFit(mode=mode, kernel=kernel, surface=surface,
-                       nodes=nodes, coef_vectors=coef, eval_vectors=coef,
-                       sign=-1.0)
+        rhs = values.reshape(-1)
+        sol = _solve_spd(a, rhs, patch_id)
+        coef = evec = sol.reshape(n, nodes.shape[1])
+        sign = -1.0
     else:
         if frames is None:
             frames = surface.tangent_frames(nodes)
-        d, e, _ = frames
+        d, e, normal = frames
         a = assemble_system(kernel, surface, nodes, mode, frames=frames)
-        rhs = np.empty(2 * n)
-        rhs[0::2] = (d * values).sum(-1)
-        rhs[1::2] = (e * values).sum(-1)
+        rhs = (np.stack([d, e], axis=1) * values[:, None, :]).sum(-1).ravel()
         sol = _solve_spd(a, rhs, patch_id)
-        alpha_beta = np.stack([sol[0::2], sol[1::2]], axis=1)
+        alpha_beta = sol.reshape(n, 2)
         coef = alpha_beta[:, 0:1] * d + alpha_beta[:, 1:2] * e
         if mode == "div_surface":
-            evec = np.cross(frames[2], coef)
-            sign = 1.0
+            evec, sign = np.cross(normal, coef), 1.0
         else:
-            evec = coef
-            sign = -1.0
-        fit = LocalFit(mode=mode, kernel=kernel, surface=surface,
-                       nodes=nodes, coef_vectors=coef, eval_vectors=evec,
-                       sign=sign, frames=frames, alpha_beta=alpha_beta)
-
+            evec, sign = coef, -1.0
+    # The solved system's residual, one row per node; in the orthonormal
+    # frame basis its norm equals the tangent residual in R^3.
+    miss = (a @ sol - rhs).reshape(n, -1)
     scale = float(np.sqrt((values * values).sum(-1)).max())
-    miss = fit.field_at(nodes) - values
     worst = float(np.sqrt((miss * miss).sum(-1)).max())
-    fit.fit_residual = worst / scale if scale > 0 else worst
-    return fit
+    return LocalFit(mode=mode, kernel=kernel, surface=surface, nodes=nodes,
+                    coef_vectors=coef, eval_vectors=evec, sign=sign,
+                    frames=frames, alpha_beta=alpha_beta,
+                    fit_residual=worst / scale if scale > 0 else worst)
 
 
 def fit_global(samples, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):

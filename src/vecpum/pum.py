@@ -163,26 +163,16 @@ class PumApproximant:
         return naive[0]
 
 
-def build_approximant(cover, kernel, surface, mode, values, gamma=4.0,
-                      workers=1):
+def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     """Fit every patch, glue the potentials, and return the approximant.
 
-    ``values`` are the field samples at ``cover.nodes``.  Patch fits are
-    independent; ``workers`` > 1 runs them on a thread pool with identical
-    results.
+    ``values`` are the field samples at ``cover.nodes``.  Patches are fit
+    serially; threads are used for batch evaluation only.
     """
-    def fit_one(item):
-        l, patch = item
-        samples = SampleSet(cover.nodes[patch.members],
-                            values[patch.members])
-        return fit_patch(samples, kernel, surface, mode, patch_id=l)
-
-    jobs = list(enumerate(cover.patches))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(fit_one, jobs))
-    else:
-        fits = [fit_one(job) for job in jobs]
+    fits = [fit_patch(SampleSet(cover.nodes[patch.members],
+                                values[patch.members]),
+                      kernel, surface, mode, patch_id=l)
+            for l, patch in enumerate(cover.patches)]
     graph = glue_mod.build_glue_graph(cover, surface)
     p, c = glue_mod.build_shift_system(graph, fits)
     solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)

@@ -152,23 +152,29 @@ def test_assembled_matrix_spd():
     assert np.linalg.eigvalsh(a).min() > 0
 
 
-@pytest.mark.parametrize("case", ["plane_div", "sphere_div", "sphere_curl",
-                                  "ball_curl"])
-def test_interpolation_reproduces_samples(case):
-    rng = np.random.default_rng(hash(case) % 2**32)
+INTERPOLATION_CASES = ["plane_div", "sphere_div", "sphere_curl", "ball_curl"]
+
+
+def interpolation_case(case, rng):
+    """(nodes, values, surface, mode, kernel) for a 40-node patch."""
     if case == "plane_div":
         pts, vals = random_plane_patch(rng, 40)
-        surface, mode, k = PLANE, "div_surface", RadialKernel("imq", 3.0)
-    elif case == "sphere_div":
+        return pts, vals, PLANE, "div_surface", RadialKernel("imq", 3.0)
+    if case == "sphere_div":
         pts, vals = random_sphere_patch(rng, 40)
-        surface, mode, k = SPHERE, "div_surface", RadialKernel("matern4", 7.5)
-    elif case == "sphere_curl":
+        return pts, vals, SPHERE, "div_surface", RadialKernel("matern4", 7.5)
+    if case == "sphere_curl":
         pts, vals = random_sphere_patch(rng, 40)
-        surface, mode, k = SPHERE, "curl_surface", RadialKernel("imq", 3.0)
-    else:
-        pts = rng.uniform(-1, 1, size=(40, 3))
-        vals = rng.normal(size=(40, 3))
-        surface, mode, k = R3, "curl_euclidean", RadialKernel("imq", 2.0)
+        return pts, vals, SPHERE, "curl_surface", RadialKernel("imq", 3.0)
+    pts = rng.uniform(-1, 1, size=(40, 3))
+    vals = rng.normal(size=(40, 3))
+    return pts, vals, R3, "curl_euclidean", RadialKernel("imq", 2.0)
+
+
+@pytest.mark.parametrize("case", INTERPOLATION_CASES)
+def test_interpolation_reproduces_samples(case):
+    rng = np.random.default_rng(hash(case) % 2**32)
+    pts, vals, surface, mode, k = interpolation_case(case, rng)
     fit = fit_patch(SampleSet(pts, vals), k, surface, mode)
     assert fit.fit_residual <= 1e-8
     if mode != "curl_euclidean":
@@ -182,6 +188,43 @@ def test_interpolation_reproduces_samples(case):
         scale = np.abs(fld).max()
         assert np.abs((surface.normals(probe) * fld).sum(-1)).max() \
             <= 1e-10 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("case", INTERPOLATION_CASES)
+def test_evaluator_reproduces_samples(case):
+    # fit_residual is the solved system's own residual; the evaluator used
+    # by the blend must reproduce the samples to the same accuracy.
+    rng = np.random.default_rng(40 + INTERPOLATION_CASES.index(case))
+    pts, vals, surface, mode, k = interpolation_case(case, rng)
+    fit = fit_patch(SampleSet(pts, vals), k, surface, mode)
+    miss = fit.field_at(pts) - vals
+    rel = (np.sqrt((miss * miss).sum(-1)).max() /
+           np.sqrt((vals * vals).sum(-1)).max())
+    assert rel <= 1e-8
+    assert abs(rel - fit.fit_residual) <= 1e-10
+
+
+@pytest.mark.parametrize("surface,mode,kernel", [
+    (SPHERE, "div_surface", RadialKernel("matern4", 7.5)),
+    (SPHERE, "curl_surface", RadialKernel("imq", 3.0)),
+    (PLANE, "div_surface", RadialKernel("imq", 3.0)),
+], ids=["sphere_div", "sphere_curl", "plane_div"])
+def test_surface_assembly_matches_block_oracle(surface, mode, kernel):
+    rng = np.random.default_rng(41)
+    make = random_sphere_patch if surface is SPHERE else random_plane_patch
+    pts, _ = make(rng, 12)
+    a = assemble_system(kernel, surface, pts, mode)
+    assert np.array_equal(a, a.T)
+    d, e, _ = surface.tangent_frames(pts)
+    frame = np.stack([d, e], axis=2)
+    block = phi_div_block if mode == "div_surface" else phi_curl_block
+    expect = np.empty_like(a)
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            expect[2 * i:2 * i + 2, 2 * j:2 * j + 2] = (
+                frame[i].T @ block(kernel, surface, pts[i], pts[j]) @
+                frame[j])
+    assert np.abs(a - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_single_node_unit_coefficient_gives_kernel_column():
@@ -358,6 +401,20 @@ def test_sampleset_validation():
                   "div_surface")
     with pytest.raises(ValueError):
         SampleSet(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+def test_non_finite_samples_rejected():
+    k = RadialKernel("imq", 1.0)
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    vals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    bad_vals = vals.copy()
+    bad_vals[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit_patch(SampleSet(pts, bad_vals), k, PLANE, "div_surface")
+    bad_pts = pts.copy()
+    bad_pts[2, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fit_patch(SampleSet(bad_pts, vals), k, R3, "curl_euclidean")
 
 
 def test_factorization_failure_raises_patch_error():

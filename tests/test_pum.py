@@ -3,6 +3,7 @@ import pytest
 
 from vecpum import cover, geometry, glue, testbed
 from vecpum.errors import CoverageError
+from vecpum.experiment import default_config, fit_and_glue
 from vecpum.kernels import RadialKernel
 from vecpum.localfit import SampleSet, fit_global, fit_patch
 from vecpum.pum import PumApproximant, build_approximant
@@ -282,11 +283,11 @@ def test_shift_quality_tracks_field_error():
 
 def test_workers_do_not_change_results():
     nodes, values, cov = star_setup(700, seed=25)
-    kernel = RadialKernel("imq", 7.0)
-    serial, _, sol1 = build_approximant(cov, kernel, PLANE, "div_surface",
-                                        values, workers=1)
-    threaded, _, sol2 = build_approximant(cov, kernel, PLANE, "div_surface",
-                                          values, workers=4)
+    problem = testbed.star_problem()
+    serial, sol1 = fit_and_glue(problem, nodes, values,
+                                default_config("star2d", eps=7.0, workers=1))
+    threaded, sol2 = fit_and_glue(
+        problem, nodes, values, default_config("star2d", eps=7.0, workers=4))
     for a, b in zip(serial.fits, threaded.fits):
         assert np.array_equal(a.coef_vectors, b.coef_vectors)
     assert np.array_equal(sol1.shifts, sol2.shifts)
