@@ -21,6 +21,12 @@ from .errors import ConfigError, CoverConnectivityError, CoverageError
 # strict-inequality membership tests succeed.
 INFLATION_MARGIN = 1e-6
 
+# Relative slack on the candidate query radius, so that tree distances
+# rounded differently from the strict tests never drop a contained pair.
+_QUERY_MARGIN = 1e-9
+# Points per incidence query; bounds the size of its pair arrays.
+QUERY_BLOCK = 2048
+
 
 def spacing_from_q(q, area, n_nodes, dim):
     """Patch spacing H = q * (area / n_nodes)**(1/dim)."""
@@ -144,28 +150,75 @@ class Cover:
     def member_counts(self):
         return np.array([len(p.members) for p in self.patches])
 
+    def incidence(self, points):
+        """Candidate (point, patch) pairs of finite points, from one query.
+
+        Pairs are sorted by patch and then by point, so a scatter in pair
+        order adds each point's patch terms in ascending patch order.  The
+        candidates over-cover: each caller applies its own strict test to
+        ``d2`` (or its square root).
+        """
+        reach = float(self.radii.max()) * (1.0 + _QUERY_MARGIN)
+        found = cKDTree(points).sparse_distance_matrix(
+            self.tree, reach, output_type="ndarray")
+        order = np.lexsort((found["i"], found["j"]))
+        point = found["i"][order]
+        patch = found["j"][order]
+        diff = points[point] - self.centers[patch]
+        return Incidence(point=point, patch=patch, diff=diff,
+                         d2=(diff * diff).sum(-1))
+
     def active_patches(self, x):
         """Indices of patches strictly containing the point x, ascending."""
-        x = np.asarray(x, dtype=float)
-        cand = self.tree.query_ball_point(x, float(self.radii.max()))
-        cand = np.sort(np.asarray(cand, dtype=int))
-        if len(cand) == 0:
-            return cand
-        diff = self.centers[cand] - x
-        dist = np.sqrt((diff * diff).sum(-1))
-        return cand[dist < self.radii[cand]]
+        return shepard_terms(self, self.incidence(
+            np.asarray(x, dtype=float)[None, :]))[0].patch
 
     def covers(self, points):
         """Boolean mask: which of the given points lie in some patch."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = finite_points(points)
         mask = np.zeros(len(points), dtype=bool)
-        tree = cKDTree(points)
-        for c, rho in zip(self.centers, self.radii):
-            idx = np.asarray(tree.query_ball_point(c, rho), dtype=int)
-            if len(idx):
-                diff = points[idx] - c
-                mask[idx[(diff * diff).sum(-1) < rho * rho]] = True
+        for lo in range(0, len(points), QUERY_BLOCK):
+            inc = self.incidence(points[lo:lo + QUERY_BLOCK])
+            rho = self.radii[inc.patch]
+            mask[lo + inc.point[inc.d2 < rho * rho]] = True
         return mask
+
+
+@dataclass
+class Incidence:
+    """Point-patch pairs: ``diff = points[point] - centers[patch]`` and
+    ``d2`` its squared length."""
+
+    point: np.ndarray
+    patch: np.ndarray
+    diff: np.ndarray
+    d2: np.ndarray
+
+    def take(self, sel):
+        return Incidence(point=self.point[sel], patch=self.patch[sel],
+                         diff=self.diff[sel], d2=self.d2[sel])
+
+
+def finite_points(points):
+    """The points as a 2-D float array; ValueError naming non-finite rows."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
+    if len(bad):
+        raise ValueError(f"{len(bad)} evaluation points are not finite "
+                         f"(rows {bad[:10].tolist()})")
+    return points
+
+
+def shepard_terms(cover, inc):
+    """The pairs with the point strictly inside the patch, their bumps
+    kappa_l and the gradients of kappa_l with respect to the point."""
+    rho = cover.radii[inc.patch]
+    dist = np.sqrt(inc.d2)
+    sel = dist < rho
+    inc, rho = inc.take(sel), rho[sel]
+    u = dist[sel] / rho
+    grad_k = (_kappa_prime_over_r(u) / rho**2)[:, None] * inc.diff
+    return inc, kappa(u), grad_k
 
 
 def _initial_radius(surface, spacing, overlap):
@@ -289,15 +342,10 @@ def weights_at(cover, x):
     quotient rule, so they sum to zero across the active patches.
     """
     x = np.asarray(x, dtype=float)
-    idx = cover.active_patches(x)
+    inc, k, grad_k = shepard_terms(cover, cover.incidence(x[None, :]))
+    idx = inc.patch
     if len(idx) == 0:
         raise CoverageError(f"point {x} is outside every patch")
-    diff = x - cover.centers[idx]
-    dist = np.sqrt((diff * diff).sum(-1))
-    rho = cover.radii[idx]
-    u = dist / rho
-    k = kappa(u)
-    grad_k = (_kappa_prime_over_r(u) / rho**2)[:, None] * diff
     total = k.sum()
     grad_total = grad_k.sum(axis=0)
     w = k / total

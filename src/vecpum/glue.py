@@ -100,15 +100,16 @@ def build_shift_system(graph, fits):
     cols = graph.edges.reshape(-1)
     data = np.tile([1.0, -1.0], n_edges)
     p = sparse.csr_matrix((data, (rows, cols)), shape=(n_edges, m))
-    c = np.zeros(n_edges)
-    for l in range(m):
-        on_l = np.nonzero(graph.edges[:, 0] == l)[0]
-        if len(on_l):
-            c[on_l] -= fits[l].potential_at(graph.points[on_l])
-        on_k = np.nonzero(graph.edges[:, 1] == l)[0]
-        if len(on_k):
-            c[on_k] += fits[l].potential_at(graph.points[on_k])
-    return p, c
+    # Edge ends grouped by patch, edges ascending within a patch, so each
+    # local potential is evaluated once, on all of its glue points.
+    order = np.argsort(cols, kind="stable")
+    psi = np.empty(2 * n_edges)
+    starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
+    for lo, hi in zip(starts, np.r_[starts[1:], len(order)]):
+        at = order[lo:hi]
+        psi[at] = fits[cols[at[0]]].potential_at(graph.points[at // 2])
+    psi = psi.reshape(n_edges, 2)
+    return p, psi[:, 1] - psi[:, 0]
 
 
 def glue_weights(graph, gamma):

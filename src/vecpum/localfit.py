@@ -150,6 +150,18 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
     return 0.5 * (a + a.T)
 
 
+def tangent_operator(mode, surface, points, vectors):
+    """Map ambient vectors at the points to the mode's field: the rotation
+    n x v (div-free), the tangent projection (curl-free on a surface), or
+    the identity (flat space)."""
+    if mode == "div_surface":
+        return np.cross(surface.normals(points), vectors)
+    if mode == "curl_surface":
+        normals = surface.normals(points)
+        return vectors - normals * (normals * vectors).sum(-1)[:, None]
+    return vectors
+
+
 @dataclass
 class LocalFit:
     """A solved interpolation system on one node set.
@@ -179,14 +191,6 @@ class LocalFit:
         proj = (diff * self.eval_vectors[None, :, :]).sum(-1)
         return points, diff, f, s, proj
 
-    def _project(self, points, raw):
-        if self.mode == "div_surface":
-            return np.cross(self.surface.normals(points), raw)
-        if self.mode == "curl_surface":
-            normals = self.surface.normals(points)
-            return raw - normals * (normals * raw).sum(-1)[:, None]
-        return raw
-
     def potential_at(self, points):
         """Scalar potential of the interpolant at the given points."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -201,15 +205,16 @@ class LocalFit:
         points, diff, f, s, proj = self._pair_terms(points)
         raw = self.sign * (f[:, :, None] * self.eval_vectors[None, :, :] +
                            (s * proj)[:, :, None] * diff).sum(axis=1)
-        return self._project(points, raw)
+        return tangent_operator(self.mode, self.surface, points, raw)
 
     def field_potential_at(self, points):
-        """(potential, field) sharing one pass over the node pairs."""
+        """(potential, unprojected field) sharing one pass over the node
+        pairs; ``tangent_operator`` of the second output is ``field_at``."""
         points, diff, f, s, proj = self._pair_terms(points)
         pot = self.sign * (f * proj).sum(-1)
         raw = self.sign * (f[:, :, None] * self.eval_vectors[None, :, :] +
                            (s * proj)[:, :, None] * diff).sum(axis=1)
-        return pot, self._project(points, raw)
+        return pot, raw
 
 
 def _solve_spd(a, rhs, patch_id):

@@ -11,24 +11,26 @@ with D the surface curl (div-free), surface gradient (curl-free on a
 surface), or plain gradient (flat space).  The naive blend (first term
 alone) is kept for comparison; it interpolates but is not conservative.
 
-Single-point evaluation delegates to the batch path on a one-row array, so
-pointwise and batched results are bit-identical (all reductions are
-pairwise sums over the same per-point rows, accumulated in patch order).
+Every batch, of one point or of thousands, takes the same path.  One
+point-patch incidence query (``Cover.incidence``) yields the pairs with the
+point inside the patch; each patch with points evaluates its local fit once
+on them; the pair terms are scattered onto the points in ascending patch
+order.  A point's result therefore does not depend on the batch around it:
+pointwise, batched and threaded results are bit-identical.  The local
+fields are blended unprojected and the surface operator, which is linear
+and depends only on the point, is applied once per point.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import SampleSet, fit_patch
-
-_TREE_THRESHOLD = 64
+from .localfit import SampleSet, fit_patch, tangent_operator
 
 
 @dataclass
@@ -58,85 +60,70 @@ class PumApproximant:
                 raise ValueError("plane evaluation points must have z = 0")
 
     def _accumulate(self, points):
+        """Per-point sums of kappa, grad kappa, kappa*raw field,
+        kappa*shifted potential and shifted potential*grad kappa."""
         m, dim = points.shape
-        sum_k = np.zeros(m)
-        sum_gk = np.zeros((m, dim))
-        sum_ks = np.zeros((m, dim))
-        sum_kp = np.zeros(m)
-        sum_pgk = np.zeros((m, dim))
-        tree = cKDTree(points) if m > _TREE_THRESHOLD else None
-        shifts = self.shifts.shifts
-        for l, patch in enumerate(self.cover.patches):
-            if tree is not None:
-                cand = np.asarray(
-                    sorted(tree.query_ball_point(patch.center, patch.radius)),
-                    dtype=int)
-                if len(cand) == 0:
-                    continue
-            else:
-                cand = np.arange(m)
-            diff = points[cand] - patch.center
-            dist = np.sqrt((diff * diff).sum(-1))
-            sel = dist < patch.radius
-            if not sel.any():
-                continue
-            idx = cand[sel]
-            u = dist[sel] / patch.radius
-            k = cover_mod.kappa(u)
-            grad_k = (cover_mod._kappa_prime_over_r(u) /
-                      patch.radius**2)[:, None] * diff[sel]
-            pot, fld = self.fits[l].field_potential_at(points[idx])
-            shifted = pot + shifts[l]
-            sum_k[idx] += k
-            sum_gk[idx] += grad_k
-            sum_ks[idx] += k[:, None] * fld
-            sum_kp[idx] += k * shifted
-            sum_pgk[idx] += shifted[:, None] * grad_k
-        return sum_k, sum_gk, sum_ks, sum_kp, sum_pgk
+        inc, k, grad_k = cover_mod.shepard_terms(
+            self.cover, self.cover.incidence(points))
+        pot = np.empty(len(k))
+        raw = np.empty((len(k), dim))
+        starts = np.flatnonzero(np.diff(inc.patch, prepend=-1))
+        for lo, hi in zip(starts, np.r_[starts[1:], len(k)]):
+            pot[lo:hi], raw[lo:hi] = self.fits[inc.patch[lo]] \
+                .field_potential_at(points[inc.point[lo:hi]])
+        shifted = pot + self.shifts.shifts[inc.patch]
 
-    def _apply_operator(self, points, grad):
-        if self.mode == "div_surface":
-            return np.cross(self.surface.normals(points), grad)
-        if self.mode == "curl_surface":
-            normals = self.surface.normals(points)
-            return grad - normals * (normals * grad).sum(-1)[:, None]
-        return grad
+        def scatter(terms):
+            # bincount adds in pair order, which is ascending patch order
+            # for every point, so a point's sums do not depend on the batch.
+            if terms.ndim == 1:
+                return np.bincount(inc.point, terms, minlength=m)
+            return np.stack([np.bincount(inc.point, col, minlength=m)
+                             for col in terms.T], axis=1)
+
+        return (scatter(k), scatter(grad_k), scatter(k[:, None] * raw),
+                scatter(k * shifted), scatter(shifted[:, None] * grad_k))
 
     def batch_eval_all(self, points, workers=1):
         """(potential, field, naive_field) at covered points.
 
         ``workers`` > 1 splits the points across threads; per-point results
         are independent, so the output is identical to the serial path and
-        keeps the input ordering.  Raises CoverageError listing the indices
-        of uncovered points.
+        keeps the input ordering.  Raises ValueError naming non-finite
+        points and CoverageError listing the indices of uncovered points.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = cover_mod.finite_points(points)
         if points.shape[0] == 0:
             dim = self.cover.centers.shape[1]
             return np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim))
         self._check_on_surface(points)
-        if workers > 1 and len(points) > 2 * _TREE_THRESHOLD:
-            chunks = np.array_split(np.arange(len(points)),
-                                    min(workers * 4, len(points)))
+        # Blocks bound the pair arrays of one incidence query; with threads,
+        # every worker gets the same number of blocks.
+        n_blocks = -(-len(points) // cover_mod.QUERY_BLOCK)
+        n_blocks = -(-n_blocks // workers) * workers
+        blocks = np.array_split(points, min(n_blocks, len(points)))
+        if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    lambda idx: self._accumulate(points[idx]), chunks))
-            sums = [np.concatenate([p[k] for p in parts]) for k in range(5)]
-            sum_k, sum_gk, sum_ks, sum_kp, sum_pgk = sums
+                parts = list(pool.map(self._accumulate, blocks))
         else:
-            sum_k, sum_gk, sum_ks, sum_kp, sum_pgk = \
-                self._accumulate(points)
+            parts = [self._accumulate(block) for block in blocks]
+        sum_k, sum_gk, sum_ks, sum_kp, sum_pgk = [
+            np.concatenate([p[k] for p in parts]) for k in range(5)]
         bad = np.nonzero(sum_k == 0.0)[0]
         if len(bad):
             raise CoverageError(
                 f"{len(bad)} evaluation points lie outside every patch",
                 indices=bad)
         pot = sum_kp / sum_k
-        naive = sum_ks / sum_k[:, None]
+        blend = sum_ks / sum_k[:, None]
         # sum_l psi~_l grad(w_l) via the quotient rule on the Shepard weights
         grad = (sum_pgk / sum_k[:, None] -
                 (sum_kp / (sum_k * sum_k))[:, None] * sum_gk)
-        field = naive + self._apply_operator(points, grad)
+        # The surface operator is linear and depends only on the point, so
+        # it is applied once to the blended sums rather than per patch.
+        naive = tangent_operator(self.mode, self.surface, points, blend)
+        field = tangent_operator(self.mode, self.surface, points,
+                                 blend + grad)
         return pot, field, naive
 
     def batch_eval(self, points, workers=1):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from vecpum import cover, geometry, glue
+from vecpum import cover, geometry, glue, testbed
 from vecpum.cover import Cover, Patch
 from vecpum.errors import CoverConnectivityError
+from vecpum.experiment import default_config, fit_and_glue
 from scipy.spatial import cKDTree
 
 
@@ -100,6 +101,31 @@ def test_shift_system_chain_offsets():
     assert np.allclose(c, [1.0, 2.0])
     # incidence matrix of a connected cover has rank M-1
     assert np.linalg.matrix_rank(p.toarray()) == graph.n_patches - 1
+
+
+def shift_rhs_oracle(graph, fits):
+    """c by the original per-patch scan over all edges."""
+    c = np.zeros(len(graph.edges))
+    for l in range(graph.n_patches):
+        on_l = np.nonzero(graph.edges[:, 0] == l)[0]
+        if len(on_l):
+            c[on_l] -= fits[l].potential_at(graph.points[on_l])
+        on_k = np.nonzero(graph.edges[:, 1] == l)[0]
+        if len(on_k):
+            c[on_k] += fits[l].potential_at(graph.points[on_k])
+    return c
+
+
+@pytest.mark.parametrize("name", ["star2d", "sphere", "ball"])
+def test_shift_system_matches_per_patch_scan(name):
+    problem = testbed.PROBLEMS[name]()
+    nodes = problem.nodes(1500, np.random.SeedSequence(7))
+    approx, _ = fit_and_glue(problem, nodes, problem.field(nodes),
+                             default_config(name))
+    graph = glue.build_glue_graph(approx.cover, problem.surface)
+    assert len(graph) > len(approx.cover)
+    _, c = glue.build_shift_system(graph, approx.fits)
+    assert np.array_equal(c, shift_rhs_oracle(graph, approx.fits))
 
 
 def test_solve_shifts_zero_rhs():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,19 @@ def test_uncovered_points_error(star_approx):
     with pytest.raises(CoverageError) as err:
         approx.batch_eval(pts)
     assert list(err.value.indices) == [0, 2]
+
+
+@pytest.mark.parametrize("m", [1, 100])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(star_approx, m, bad):
+    _, _, approx = star_approx
+    pts = star_points(m, seed=14)
+    rows = [m - 1] if m == 1 else [3, 70]
+    pts[rows, 0] = bad
+    for call in (approx.batch_eval_all, approx.cover.covers):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"not finite (rows {rows})")):
+            call(pts)
 
 
 def test_naive_blend_interpolates_but_field_matches_definition(star_approx):
