@@ -12,7 +12,7 @@ from .errors import (ConfigError, CoverageError, CoverConnectivityError,
                      GlobalFitSizeError, PatchFitError, VecPumError)
 from .kernels import RadialKernel
 from .geometry import euclidean, plane2d, sphere2
-from .cover import (Cover, Patch, assign_radii_and_inflate, centers_ball,
+from .cover import (Cover, assign_radii_and_inflate, centers_ball,
                     centers_plane, centers_sphere, kappa, kappa_prime,
                     single_patch_cover, spacing_from_q, weights_at)
 from .localfit import (LocalFit, SampleSet, fit_global, fit_patch,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RadialKernel", "plane2d", "sphere2", "euclidean",
-    "Cover", "Patch", "spacing_from_q", "centers_plane", "centers_ball",
+    "Cover", "spacing_from_q", "centers_plane", "centers_ball",
     "centers_sphere", "assign_radii_and_inflate", "single_patch_cover",
     "kappa", "kappa_prime", "weights_at",
     "SampleSet", "LocalFit", "fit_patch", "fit_global",

@@ -120,35 +120,41 @@ def _kappa_prime_over_r(r):
 
 
 @dataclass
-class Patch:
-    """One cover element: center, radius, and indices of member nodes."""
-
-    center: np.ndarray
-    radius: float
-    members: np.ndarray
-
-
-@dataclass
 class Cover:
     """Immutable patch cover over a node set.
 
-    ``centers``/``radii`` mirror the per-patch data as arrays for vectorized
-    queries; ``tree`` indexes the patch centers.
+    ``members[l]`` indexes the nodes strictly inside patch l.  ``tree``
+    indexes the patch centers and ``edges`` holds the overlapping patch
+    pairs (``patch_graph_edges``); both are derived on construction, which
+    raises CoverConnectivityError on a disconnected patch graph.
     """
 
-    patches: list
     centers: np.ndarray
     radii: np.ndarray
+    members: list
     nodes: np.ndarray
-    spacing: float
-    overlap: float
-    tree: cKDTree = field(repr=False)
+    tree: cKDTree = field(init=False, repr=False)
+    edges: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.tree = cKDTree(self.centers)
+        self.edges = patch_graph_edges(self.centers, self.radii)
+        m = len(self.centers)
+        adj = sparse.coo_matrix((np.ones(len(self.edges)),
+                                 (self.edges[:, 0], self.edges[:, 1])),
+                                shape=(m, m))
+        n_comp, _ = connected_components(adj, directed=False)
+        if n_comp != 1:
+            raise CoverConnectivityError(
+                f"patch graph has {n_comp} connected components; the "
+                f"potential shifts cannot be reconciled across a "
+                f"disconnected cover")
 
     def __len__(self):
-        return len(self.patches)
+        return len(self.centers)
 
     def member_counts(self):
-        return np.array([len(p.members) for p in self.patches])
+        return np.array([len(idx) for idx in self.members])
 
     def incidence(self, points):
         """Candidate (point, patch) pairs of finite points, from one query.
@@ -168,14 +174,9 @@ class Cover:
         return Incidence(point=point, patch=patch, diff=diff,
                          d2=(diff * diff).sum(-1))
 
-    def active_patches(self, x):
-        """Indices of patches strictly containing the point x, ascending."""
-        return shepard_terms(self, self.incidence(
-            np.asarray(x, dtype=float)[None, :]))[0].patch
-
     def covers(self, points):
         """Boolean mask: which of the given points lie in some patch."""
-        points = finite_points(points)
+        points = finite_points(points, self.centers.shape[1])
         mask = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), QUERY_BLOCK):
             inc = self.incidence(points[lo:lo + QUERY_BLOCK])
@@ -199,9 +200,19 @@ class Incidence:
                          diff=self.diff[sel], d2=self.d2[sel])
 
 
-def finite_points(points):
-    """The points as a 2-D float array; ValueError naming non-finite rows."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+def finite_points(points, dim):
+    """The points as an (m, dim) float array, (0, dim) for empty input.
+
+    Raises ValueError naming the shape of points without ``dim`` columns,
+    or naming the rows of non-finite points.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.shape == (0,):
+        return np.zeros((0, dim))
+    points = np.atleast_2d(points)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points of shape {points.shape} do not have "
+                         f"{dim} columns")
     bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
     if len(bad):
         raise ValueError(f"{len(bad)} evaluation points are not finite "
@@ -231,8 +242,6 @@ def patch_graph_edges(centers, radii):
     """Pairs (l, k), l < k, of patches whose balls intersect."""
     tree = cKDTree(centers)
     pairs = tree.query_pairs(2.0 * float(np.max(radii)), output_type="ndarray")
-    if len(pairs) == 0:
-        return pairs.reshape(0, 2)
     diff = centers[pairs[:, 0]] - centers[pairs[:, 1]]
     dist = np.sqrt((diff * diff).sum(-1))
     keep = dist < radii[pairs[:, 0]] + radii[pairs[:, 1]]
@@ -241,20 +250,6 @@ def patch_graph_edges(centers, radii):
     pairs[swap] = pairs[swap][:, ::-1]
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     return pairs[order]
-
-
-def _check_connected(centers, radii):
-    m = len(centers)
-    if m == 1:
-        return
-    edges = patch_graph_edges(centers, radii)
-    adj = sparse.coo_matrix(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(m, m))
-    n_comp, _ = connected_components(adj, directed=False)
-    if n_comp != 1:
-        raise CoverConnectivityError(
-            f"patch graph has {n_comp} connected components; the potential "
-            f"shifts cannot be reconciled across a disconnected cover")
 
 
 def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
@@ -284,25 +279,19 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
             radii[target] = need
 
     node_tree = cKDTree(nodes)
-    patches = []
+    members = []
     for c, rho in zip(centers, radii):
         idx = np.asarray(sorted(node_tree.query_ball_point(c, rho)), dtype=int)
         if len(idx):
             diff = nodes[idx] - c
             idx = idx[(diff * diff).sum(-1) < rho * rho]
-        patches.append(Patch(center=c, radius=float(rho), members=idx))
+        members.append(idx)
 
-    keep = [i for i, p in enumerate(patches) if len(p.members)]
+    keep = [i for i, idx in enumerate(members) if len(idx)]
     if not keep:
         raise ConfigError("every patch is empty; no cover can be built")
-    patches = [patches[i] for i in keep]
-    centers = centers[keep]
-    radii = radii[keep]
-
-    _check_connected(centers, radii)
-    return Cover(patches=patches, centers=centers, radii=radii, nodes=nodes,
-                 spacing=float(spacing), overlap=float(overlap),
-                 tree=cKDTree(centers))
+    return Cover(centers=centers[keep], radii=radii[keep],
+                 members=[members[i] for i in keep], nodes=nodes)
 
 
 def single_patch_cover(nodes, surface, radius=None):
@@ -317,12 +306,8 @@ def single_patch_cover(nodes, surface, radius=None):
         radius = 2.5 * dist + 1e-3
     if radius <= dist:
         raise ConfigError("radius does not enclose all nodes")
-    patch = Patch(center=center, radius=float(radius),
-                  members=np.arange(len(nodes)))
-    return Cover(patches=[patch], centers=center[None, :],
-                 radii=np.array([float(radius)]), nodes=nodes,
-                 spacing=float(radius), overlap=1.0,
-                 tree=cKDTree(center[None, :]))
+    return Cover(centers=center[None, :], radii=np.array([float(radius)]),
+                 members=[np.arange(len(nodes))], nodes=nodes)
 
 
 @dataclass
@@ -341,11 +326,11 @@ def weights_at(cover, x):
     kappa_l(x) = kappa(||x - center_l|| / radius_l); gradients come from the
     quotient rule, so they sum to zero across the active patches.
     """
-    x = np.asarray(x, dtype=float)
-    inc, k, grad_k = shepard_terms(cover, cover.incidence(x[None, :]))
+    x = finite_points(x, cover.centers.shape[1])
+    inc, k, grad_k = shepard_terms(cover, cover.incidence(x))
     idx = inc.patch
     if len(idx) == 0:
-        raise CoverageError(f"point {x} is outside every patch")
+        raise CoverageError(f"point {x[0]} is outside every patch")
     total = k.sum()
     grad_total = grad_k.sum(axis=0)
     w = k / total
@@ -356,8 +341,9 @@ def weights_at(cover, x):
 def dump_cover(cover, path):
     """Diagnostic dump: one line per patch, `x y z radius n_members`."""
     with open(path, "w") as fh:
-        for p in cover.patches:
+        for center, radius, idx in zip(cover.centers, cover.radii,
+                                       cover.members):
             c = np.zeros(3)
-            c[: len(p.center)] = p.center
+            c[: len(center)] = center
             fh.write(f"{c[0]:.17g} {c[1]:.17g} {c[2]:.17g} "
-                     f"{p.radius:.17g} {len(p.members)}\n")
+                     f"{radius:.17g} {len(idx)}\n")

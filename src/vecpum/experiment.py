@@ -238,7 +238,7 @@ def _custom_problem(config):
     if surface_kind == "plane":
         surface, mode, dim = geo.plane2d(), "div_surface", 2
         nodes = geo.embed_points(nodes)
-        values = geo.embed_vectors(values)
+        values = geo.embed_points(values)
     elif surface_kind == "sphere":
         surface, mode, dim = geo.sphere2(), "div_surface", 2
     elif surface_kind in ("r2", "r3"):

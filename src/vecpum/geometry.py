@@ -1,10 +1,11 @@
-"""Surfaces, tangent frames, and the matrices behind the surface operators.
+"""Surfaces, tangent frames, and the surface operators.
 
 The surface curl and surface gradient of a scalar f are expressed
 extrinsically as ``Q_x grad(f)`` and ``P_x grad(f)``, where ``Q_x v = n x v``
-and ``P_x = I - n n^T`` for the unit normal n at x.  Supported surfaces are
-the plane (embedded at z = 0), the unit sphere, and flat Euclidean space
-(where no frames or projections apply and the gradient is used directly).
+and ``P_x = I - n n^T`` for the unit normal n at x; ``tangent_operator``
+applies them row-wise.  Supported surfaces are the plane (embedded at
+z = 0), the unit sphere, and flat Euclidean space (where no frames or
+projections apply and the gradient is used directly).
 """
 
 from dataclasses import dataclass
@@ -19,15 +20,6 @@ PLANE_N = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
-class TangentFrame:
-    """Orthonormal frame {d, e, n} at one surface point."""
-
-    d: np.ndarray
-    e: np.ndarray
-    n: np.ndarray
-
-
-@dataclass(frozen=True)
 class Surface:
     """Geometry selector: ``plane`` and ``sphere`` live in R^3, ``euclidean``
     in R^d with d in {2, 3}.  ``dim`` is the coordinate dimension points
@@ -35,10 +27,6 @@ class Surface:
 
     kind: str
     dim: int
-
-    @property
-    def is_embedded(self):
-        return self.kind in ("plane", "sphere")
 
     def normals(self, points):
         """Unit normals at on-surface points, shape (m, 3)."""
@@ -84,16 +72,6 @@ class Surface:
         return points
 
 
-    def normal(self, x):
-        """Unit normal at a single on-surface point."""
-        return self.normals(np.asarray(x, dtype=float)[None, :])[0]
-
-    def tangent_frame(self, x):
-        """TangentFrame at a single on-surface point."""
-        d, e, n = self.tangent_frames(np.asarray(x, dtype=float)[None, :])
-        return TangentFrame(d=d[0], e=e[0], n=n[0])
-
-
 def plane2d():
     return Surface("plane", 3)
 
@@ -122,27 +100,16 @@ def p_matrix(n):
     return np.eye(3) - np.outer(n, n)
 
 
-def apply_q(normals, vectors):
-    """Row-wise n x v (the surface-curl rotation of a gradient)."""
-    return np.cross(normals, vectors)
-
-
-def apply_p(normals, vectors):
-    """Row-wise tangential projection v - n (n . v)."""
-    return vectors - normals * (normals * vectors).sum(-1)[..., None]
-
-
-def surface_curl_of_scalar(surface, x, grad):
-    """Q_x grad: the surface curl of a scalar with Euclidean gradient grad."""
-    n = surface.normals(x)[0]
-    return np.cross(n, np.asarray(grad, dtype=float))
-
-
-def surface_grad_of_scalar(surface, x, grad):
-    """P_x grad: the surface gradient of a scalar with Euclidean gradient grad."""
-    n = surface.normals(x)[0]
-    grad = np.asarray(grad, dtype=float)
-    return grad - n * (n @ grad)
+def tangent_operator(mode, surface, points, vectors):
+    """Map ambient vectors at the points to the mode's field: the rotation
+    n x v (div-free), the tangent projection v - n (n . v) (curl-free on a
+    surface), or the identity (flat space)."""
+    if mode == "div_surface":
+        return np.cross(surface.normals(points), vectors)
+    if mode == "curl_surface":
+        normals = surface.normals(points)
+        return vectors - normals * (normals * vectors).sum(-1)[:, None]
+    return vectors
 
 
 def embed_points(points2d):
@@ -151,6 +118,3 @@ def embed_points(points2d):
     out = np.zeros((points2d.shape[0], 3))
     out[:, :2] = points2d
     return out
-
-
-embed_vectors = embed_points

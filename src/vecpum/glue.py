@@ -13,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
-
-from .cover import patch_graph_edges
-from .errors import CoverConnectivityError
 
 # Above this many patches the anchored normal equations are solved by a
 # sparse LU factorization instead of a dense Cholesky.
@@ -58,22 +54,10 @@ def build_glue_graph(cover, surface):
     The point is the radius-weighted center of the overlap,
     (rho_k xi_l + rho_l xi_k) / (rho_k + rho_l), pulled back onto the
     sphere when the cover lives there; it always lies strictly inside both
-    patches.  Raises CoverConnectivityError on a disconnected overlap graph.
+    patches.  The edges are the cover's, which is connected, so the shift
+    system has rank (patch count - 1).
     """
-    m = len(cover)
-    edges = patch_graph_edges(cover.centers, cover.radii)
-    if m > 1:
-        adj = sparse.coo_matrix(
-            (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(m, m))
-        n_comp, _ = connected_components(adj, directed=False)
-        if n_comp != 1:
-            raise CoverConnectivityError(
-                f"overlap graph has {n_comp} components; rank(P) < M-1")
-    if len(edges) == 0:
-        return GlueGraph(edges=np.zeros((0, 2), dtype=int),
-                         points=np.zeros((0, cover.centers.shape[1])),
-                         r_near=np.zeros(0), n_patches=m,
-                         member_counts=cover.member_counts())
+    edges = cover.edges
     xl = cover.centers[edges[:, 0]]
     xk = cover.centers[edges[:, 1]]
     rl = cover.radii[edges[:, 0]][:, None]
@@ -83,7 +67,7 @@ def build_glue_graph(cover, surface):
     dist_l = np.sqrt(((points - xl) ** 2).sum(-1))
     dist_k = np.sqrt(((points - xk) ** 2).sum(-1))
     return GlueGraph(edges=edges, points=points,
-                     r_near=np.minimum(dist_l, dist_k), n_patches=m,
+                     r_near=np.minimum(dist_l, dist_k), n_patches=len(cover),
                      member_counts=cover.member_counts())
 
 

@@ -150,18 +150,6 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
     return 0.5 * (a + a.T)
 
 
-def tangent_operator(mode, surface, points, vectors):
-    """Map ambient vectors at the points to the mode's field: the rotation
-    n x v (div-free), the tangent projection (curl-free on a surface), or
-    the identity (flat space)."""
-    if mode == "div_surface":
-        return np.cross(surface.normals(points), vectors)
-    if mode == "curl_surface":
-        normals = surface.normals(points)
-        return vectors - normals * (normals * vectors).sum(-1)[:, None]
-    return vectors
-
-
 @dataclass
 class LocalFit:
     """A solved interpolation system on one node set.
@@ -205,7 +193,8 @@ class LocalFit:
         points, diff, f, s, proj = self._pair_terms(points)
         raw = self.sign * (f[:, :, None] * self.eval_vectors[None, :, :] +
                            (s * proj)[:, :, None] * diff).sum(axis=1)
-        return tangent_operator(self.mode, self.surface, points, raw)
+        return geometry.tangent_operator(self.mode, self.surface, points,
+                                         raw)
 
     def field_potential_at(self, points):
         """(potential, unprojected field) sharing one pass over the node

@@ -30,7 +30,7 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import SampleSet, fit_patch, tangent_operator
+from .localfit import SampleSet, fit_patch
 
 
 @dataclass
@@ -89,12 +89,15 @@ class PumApproximant:
 
         ``workers`` > 1 splits the points across threads; per-point results
         are independent, so the output is identical to the serial path and
-        keeps the input ordering.  Raises ValueError naming non-finite
-        points and CoverageError listing the indices of uncovered points.
+        keeps the input ordering.  Raises ValueError for ``workers`` < 1,
+        for points without the cover's column count and naming non-finite
+        points, and CoverageError listing the indices of uncovered points.
         """
-        points = cover_mod.finite_points(points)
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
+        points = cover_mod.finite_points(points, self.cover.centers.shape[1])
         if points.shape[0] == 0:
-            dim = self.cover.centers.shape[1]
+            dim = points.shape[1]
             return np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim))
         self._check_on_surface(points)
         # Blocks bound the pair arrays of one incidence query; with threads,
@@ -121,9 +124,10 @@ class PumApproximant:
                 (sum_kp / (sum_k * sum_k))[:, None] * sum_gk)
         # The surface operator is linear and depends only on the point, so
         # it is applied once to the blended sums rather than per patch.
-        naive = tangent_operator(self.mode, self.surface, points, blend)
-        field = tangent_operator(self.mode, self.surface, points,
-                                 blend + grad)
+        naive = geometry.tangent_operator(self.mode, self.surface, points,
+                                          blend)
+        field = geometry.tangent_operator(self.mode, self.surface, points,
+                                          blend + grad)
         return pot, field, naive
 
     def batch_eval(self, points, workers=1):
@@ -134,21 +138,6 @@ class PumApproximant:
     def covered_mask(self, points):
         return self.cover.covers(points)
 
-    def eval_potential(self, x):
-        """Blended potential at one covered point."""
-        pot, _, _ = self.batch_eval_all(np.asarray(x, dtype=float)[None, :])
-        return float(pot[0])
-
-    def eval_field(self, x):
-        """Conservative blended field at one covered point."""
-        _, field, _ = self.batch_eval_all(np.asarray(x, dtype=float)[None, :])
-        return field[0]
-
-    def eval_field_naive(self, x):
-        """Weighted blend of the local fields, no correction term."""
-        _, _, naive = self.batch_eval_all(np.asarray(x, dtype=float)[None, :])
-        return naive[0]
-
 
 def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     """Fit every patch, glue the potentials, and return the approximant.
@@ -156,10 +145,9 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     ``values`` are the field samples at ``cover.nodes``.  Patches are fit
     serially; threads are used for batch evaluation only.
     """
-    fits = [fit_patch(SampleSet(cover.nodes[patch.members],
-                                values[patch.members]),
+    fits = [fit_patch(SampleSet(cover.nodes[idx], values[idx]),
                       kernel, surface, mode, patch_id=l)
-            for l, patch in enumerate(cover.patches)]
+            for l, idx in enumerate(cover.members)]
     graph = glue_mod.build_glue_graph(cover, surface)
     p, c = glue_mod.build_shift_system(graph, fits)
     solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)

@@ -317,7 +317,7 @@ def star_problem():
         return psi1(np.asarray(p)[:, :2])
 
     def field3(p):
-        return geometry.embed_vectors(u1(np.asarray(p)[:, :2]))
+        return geometry.embed_points(u1(np.asarray(p)[:, :2]))
 
     def nodes3(n, seed):
         return geometry.embed_points(nodes_star(n, seed))

@@ -97,7 +97,7 @@ def test_inflation_encloses_stranded_node():
     dist = min(np.linalg.norm(nodes[2] - centers[0]),
                np.linalg.norm(nodes[2] - centers[1]))
     assert cov.radii.max() > dist
-    member_union = np.concatenate([p.members for p in cov.patches])
+    member_union = np.concatenate(cov.members)
     assert set(member_union) == {0, 1, 2}
 
 
@@ -107,9 +107,9 @@ def test_membership_is_strict():
     nodes = np.array([[0.0, 0.0], [0.55, 0.0]])
     cov = cover.assign_radii_and_inflate(centers, nodes, 0.1, surface, 1.0)
     # the far node sits exactly at distance 0.55*(1+margin); strictly inside
-    for p in cov.patches:
-        d = np.sqrt(((nodes[p.members] - p.center) ** 2).sum(-1))
-        assert (d < p.radius).all()
+    for center, radius, idx in zip(cov.centers, cov.radii, cov.members):
+        d = np.sqrt(((nodes[idx] - center) ** 2).sum(-1))
+        assert (d < radius).all()
 
 
 def test_disconnected_cover_raises():
@@ -118,6 +118,13 @@ def test_disconnected_cover_raises():
     nodes = np.array([[0.01, 0.0], [10.01, 0.0]])
     with pytest.raises(CoverConnectivityError):
         cover.assign_radii_and_inflate(centers, nodes, 0.1, surface, 1.0)
+
+
+def test_single_patch_cover_derives_its_graph():
+    nodes = np.array([[0.5, 0.5], [0.6, 0.5]])
+    cov = cover.single_patch_cover(nodes, geometry.euclidean(2), radius=1.0)
+    assert len(cov) == 1 and cov.edges.shape == (0, 2)
+    assert cov.tree.n == 1
 
 
 def test_empty_nodes_rejected():
@@ -200,6 +207,15 @@ def test_uncovered_point_raises():
     cov = cover.single_patch_cover(nodes, geometry.euclidean(2), radius=0.5)
     with pytest.raises(CoverageError):
         cover.weights_at(cov, np.array([5.0, 5.0]))
+
+
+def test_weights_reject_bad_points():
+    nodes = np.array([[0.5, 0.5], [0.6, 0.5]])
+    cov = cover.single_patch_cover(nodes, geometry.euclidean(2), radius=1.0)
+    with pytest.raises(ValueError, match=r"not finite \(rows \[0\]\)"):
+        cover.weights_at(cov, np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
+        cover.weights_at(cov, np.array([0.5, 0.5, 0.0]))
 
 
 def test_one_stability_proxy_over_refinement():

@@ -86,9 +86,10 @@ def test_p_matrix_projector():
 
 def test_plane_surface_curl_rotates_gradient():
     s = geometry.plane2d()
-    out = geometry.surface_curl_of_scalar(s, np.array([[0.1, 0.2, 0.0]]),
-                                          [3.0, -4.0, 0.0])
-    assert np.allclose(out, [4.0, 3.0, 0.0])
+    out = geometry.tangent_operator("div_surface", s,
+                                    np.array([[0.1, 0.2, 0.0]]),
+                                    np.array([[3.0, -4.0, 0.0]]))
+    assert np.allclose(out, [[4.0, 3.0, 0.0]])
 
 
 def test_curl_and_grad_outputs_tangent_and_equal_magnitude():
@@ -96,27 +97,25 @@ def test_curl_and_grad_outputs_tangent_and_equal_magnitude():
     rng = np.random.default_rng(4)
     pts = random_unit(rng, 1000)
     grads = rng.normal(size=(1000, 3))
-    for x, g in zip(pts[:50], grads[:50]):
-        lc = geometry.surface_curl_of_scalar(s, x[None], g)
-        gc = geometry.surface_grad_of_scalar(s, x[None], g)
-        assert abs(x @ lc) < 1e-12 * np.linalg.norm(g)
-        assert abs(x @ gc) < 1e-12 * np.linalg.norm(g)
-        assert np.linalg.norm(lc) == pytest.approx(np.linalg.norm(gc),
-                                                   abs=1e-12)
-    # vectorized equality of magnitudes over the full set
-    qg = geometry.apply_q(pts, grads)
-    pg = geometry.apply_p(pts, grads)
+    qg = geometry.tangent_operator("div_surface", s, pts, grads)
+    pg = geometry.tangent_operator("curl_surface", s, pts, grads)
+    for x, g, lc, gc in zip(pts[:50], grads[:50], qg, pg):
+        assert np.allclose(lc, geometry.q_matrix(x) @ g, rtol=0, atol=1e-14)
+        assert np.allclose(gc, geometry.p_matrix(x) @ g, rtol=0, atol=1e-14)
+    mag = np.sqrt((grads * grads).sum(-1))
+    assert (np.abs((pts * qg).sum(-1)) < 1e-12 * mag).all()
+    assert (np.abs((pts * pg).sum(-1)) < 1e-12 * mag).all()
+    # equal magnitudes, to 1e-12 absolute at every point
     assert np.abs(np.sqrt((qg * qg).sum(-1))
-                  - np.sqrt((pg * pg).sum(-1))).max() < 1e-12 * np.abs(
-                      grads).max()
+                  - np.sqrt((pg * pg).sum(-1))).max() < 1e-12
 
 
 def test_gradient_parallel_to_normal_annihilated():
     s = geometry.sphere2()
-    x = np.array([0.0, 0.0, 1.0])
+    x = np.array([[0.0, 0.0, 1.0]])
     g = 2.5 * x
-    assert np.abs(geometry.surface_curl_of_scalar(s, x[None], g)).max() < 1e-15
-    assert np.abs(geometry.surface_grad_of_scalar(s, x[None], g)).max() < 1e-15
+    for mode in ("div_surface", "curl_surface"):
+        assert np.abs(geometry.tangent_operator(mode, s, x, g)).max() < 1e-15
 
 
 def test_euclidean_has_no_surface_structure():
@@ -127,15 +126,8 @@ def test_euclidean_has_no_surface_structure():
         s.tangent_frames(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         geometry.euclidean(4)
-
-
-def test_single_point_frame_api():
-    s = geometry.sphere2()
-    x = np.array([0.6, 0.0, 0.8])
-    frame = s.tangent_frame(x)
-    assert np.allclose(np.cross(frame.n, frame.e), frame.d)
-    assert abs(frame.d @ frame.e) < 1e-15
-    assert np.allclose(s.normal(x), x)
+    v = np.ones((2, 3))
+    assert geometry.tangent_operator("curl_euclidean", s, v, v) is v
 
 
 def test_embed_points():

@@ -1,23 +1,21 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from vecpum import cover, geometry, glue, testbed
-from vecpum.cover import Cover, Patch
+from vecpum import geometry, glue, testbed
+from vecpum.cover import Cover
 from vecpum.errors import CoverConnectivityError
 from vecpum.experiment import default_config, fit_and_glue
-from scipy.spatial import cKDTree
 
 
-def make_cover(centers, radii, counts, surface=None, dim=None):
+def make_cover(centers, radii, counts):
     """Hand-built cover with synthetic member counts for glue tests."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    radii = np.asarray(radii, dtype=float)
-    patches = [Patch(center=c, radius=float(r),
-                     members=np.arange(k))
-               for c, r, k in zip(centers, radii, counts)]
-    return Cover(patches=patches, centers=centers, radii=radii,
-                 nodes=np.zeros((max(counts), centers.shape[1])),
-                 spacing=1.0, overlap=0.5, tree=cKDTree(centers))
+    return Cover(centers=centers, radii=np.asarray(radii, dtype=float),
+                 members=[np.arange(k) for k in counts],
+                 nodes=np.zeros((max(counts), centers.shape[1])))
 
 
 class ConstantPotential:
@@ -73,10 +71,33 @@ def test_edges_only_for_overlaps():
 
 
 def test_disconnected_graph_raises():
+    # the cover checks its own patch graph, so a disconnected one is never
+    # built and never reaches the glue stage
     centers = np.array([[0.0, 0.0], [10.0, 0.0]])
-    cov = make_cover(centers, [0.5, 0.5], [1, 1])
     with pytest.raises(CoverConnectivityError):
-        glue.build_glue_graph(cov, EUC2)
+        make_cover(centers, [0.5, 0.5], [1, 1])
+
+
+def test_fit_and_glue_builds_the_patch_graph_once(monkeypatch):
+    calls = Counter()
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "vecpum":
+            continue
+        for name in ("patch_graph_edges", "connected_components"):
+            fn = getattr(mod, name, None)
+            if fn is None:
+                continue
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, counted)
+    problem = testbed.star_problem()
+    nodes = problem.nodes(1000, np.random.SeedSequence(3))
+    fit_and_glue(problem, nodes, problem.field(nodes),
+                 default_config("star2d"))
+    assert calls == {"patch_graph_edges": 1, "connected_components": 1}
 
 
 def test_shift_system_identical_potentials():
@@ -116,16 +137,54 @@ def shift_rhs_oracle(graph, fits):
     return c
 
 
-@pytest.mark.parametrize("name", ["star2d", "sphere", "ball"])
-def test_shift_system_matches_per_patch_scan(name):
-    problem = testbed.PROBLEMS[name]()
+@pytest.fixture(scope="module", params=["star2d", "sphere", "ball"])
+def glued(request):
+    """A fitted approximant of a built-in problem and its glue graph."""
+    problem = testbed.PROBLEMS[request.param]()
     nodes = problem.nodes(1500, np.random.SeedSequence(7))
     approx, _ = fit_and_glue(problem, nodes, problem.field(nodes),
-                             default_config(name))
-    graph = glue.build_glue_graph(approx.cover, problem.surface)
+                             default_config(request.param))
+    return approx, glue.build_glue_graph(approx.cover, problem.surface)
+
+
+def test_shift_system_matches_per_patch_scan(glued):
+    approx, graph = glued
     assert len(graph) > len(approx.cover)
     _, c = glue.build_shift_system(graph, approx.fits)
     assert np.array_equal(c, shift_rhs_oracle(graph, approx.fits))
+
+
+def test_glue_graph_edges_are_the_cover_edges(glued):
+    approx, graph = glued
+    cov = approx.cover
+    assert np.array_equal(graph.edges, cov.edges)
+    # every intersecting pair, l < k, by brute force over all pairs
+    diff = cov.centers[:, None, :] - cov.centers[None, :, :]
+    overlap = (np.sqrt((diff * diff).sum(-1))
+               < cov.radii[:, None] + cov.radii[None, :])
+    assert np.array_equal(cov.edges, np.argwhere(np.triu(overlap, k=1)))
+
+
+def test_sparse_shift_solve_matches_dense(glued, monkeypatch):
+    approx, graph = glued
+    p, c = glue.build_shift_system(graph, approx.fits)
+    factorizations = Counter()
+    splu = glue.splu
+
+    def counted_splu(a):
+        factorizations["splu"] += 1
+        return splu(a)
+
+    monkeypatch.setattr(glue, "splu", counted_splu)
+    dense = glue.solve_shifts(p, c, graph)
+    assert factorizations["splu"] == 0
+    monkeypatch.setattr(glue, "DENSE_SOLVE_MAX", 0)
+    sparse = glue.solve_shifts(p, c, graph)
+    assert factorizations["splu"] == 1
+    assert sparse.anchor == dense.anchor
+    scale = np.abs(dense.shifts).max()
+    assert np.abs(sparse.shifts - dense.shifts).max() <= 1e-12 * scale
+    assert np.abs(sparse.residual - dense.residual).max() <= 1e-12 * scale
 
 
 def test_solve_shifts_zero_rhs():

@@ -43,7 +43,7 @@ def random_sphere_patch(rng, n, cap=0.5):
 
 def random_plane_patch(rng, n, scale=1.0):
     pts = geometry.embed_points(rng.uniform(-scale, scale, size=(n, 2)))
-    vals = geometry.embed_vectors(rng.normal(size=(n, 2)))
+    vals = geometry.embed_points(rng.normal(size=(n, 2)))
     return pts, vals
 
 
@@ -133,7 +133,7 @@ def test_small_system_brute_force_oracle(n):
             a[2 * i:2 * i + 2, 2 * j:2 * j + 2] = _phi_div_2d(eps, dx, dy)
     expect = np.linalg.solve(a, vals2.reshape(-1))
     fit = fit_patch(SampleSet(geometry.embed_points(nodes2),
-                              geometry.embed_vectors(vals2)),
+                              geometry.embed_points(vals2)),
                     k, PLANE, "div_surface")
     got = fit.alpha_beta.reshape(-1)
     assert np.abs(got - expect).max() < 1e-10

@@ -15,7 +15,7 @@ PLANE = geometry.plane2d()
 
 def star_setup(n, seed=23, q=8.0, delta=0.5):
     nodes = geometry.embed_points(testbed.nodes_star(n, seed))
-    values = geometry.embed_vectors(testbed.u1(nodes[:, :2]))
+    values = geometry.embed_points(testbed.u1(nodes[:, :2]))
     h = cover.spacing_from_q(q, 6.0, len(nodes), 2)
     centers = geometry.embed_points(
         cover.centers_plane(testbed._StarDomain, h))
@@ -44,7 +44,7 @@ def star_approx():
 
 def test_single_patch_cover_matches_global_fit():
     nodes = geometry.embed_points(testbed.nodes_star(400, 2))
-    values = geometry.embed_vectors(testbed.u1(nodes[:, :2]))
+    values = geometry.embed_points(testbed.u1(nodes[:, :2]))
     kernel = RadialKernel("imq", 7.0)
     cov = cover.single_patch_cover(nodes, PLANE, radius=4.0)
     approx, _, _ = build_approximant(cov, kernel, PLANE, "div_surface",
@@ -90,10 +90,10 @@ def test_potential_matches_unpruned_blend(star_approx):
     for x, got in zip(pts, pot):
         num = 0.0
         den = 0.0
-        for l, patch in enumerate(approx.cover.patches):
-            d = np.linalg.norm(x - patch.center)
-            k = float(cover.kappa(d / patch.radius)) if d < patch.radius \
-                else 0.0
+        for l, (center, radius) in enumerate(zip(approx.cover.centers,
+                                                 approx.cover.radii)):
+            d = np.linalg.norm(x - center)
+            k = float(cover.kappa(d / radius)) if d < radius else 0.0
             if k > 0.0:
                 num += k * (approx.fits[l].potential_at(x[None])[0]
                             + shifts[l])
@@ -106,9 +106,10 @@ def test_batch_matches_pointwise_bitwise(star_approx):
     pts = star_points(1000, seed=12)
     pot, field, naive = approx.batch_eval_all(pts)
     for i in (0, 17, 256, 999):
-        assert approx.eval_potential(pts[i]) == pot[i]
-        assert np.array_equal(approx.eval_field(pts[i]), field[i])
-        assert np.array_equal(approx.eval_field_naive(pts[i]), naive[i])
+        pot_i, field_i, naive_i = approx.batch_eval_all(pts[i:i + 1])
+        assert pot_i[0] == pot[i]
+        assert np.array_equal(field_i[0], field[i])
+        assert np.array_equal(naive_i[0], naive[i])
 
 
 def test_empty_input_and_ordering(star_approx):
@@ -129,6 +130,40 @@ def test_uncovered_points_error(star_approx):
     with pytest.raises(CoverageError) as err:
         approx.batch_eval(pts)
     assert list(err.value.indices) == [0, 2]
+
+
+@pytest.fixture(scope="module")
+def ball_approx():
+    problem = testbed.ball_problem()
+    nodes = problem.nodes(1500, np.random.SeedSequence(8))
+    approx, _ = fit_and_glue(problem, nodes, problem.field(nodes),
+                             default_config("ball"))
+    return approx
+
+
+@pytest.mark.parametrize("name", ["star", "ball"])
+def test_empty_and_misshapen_points(request, name):
+    approx = (request.getfixturevalue("star_approx")[2] if name == "star"
+              else request.getfixturevalue("ball_approx"))
+    dim = approx.cover.centers.shape[1]
+    for empty in ([], np.zeros(0), np.zeros((0, dim))):
+        assert approx.covered_mask(empty).shape == (0,)
+        pot, field, naive = approx.batch_eval_all(empty)
+        assert pot.shape == (0,)
+        assert field.shape == naive.shape == (0, dim)
+    for bad in (np.zeros((4, dim - 1)), np.zeros((4, dim + 1)),
+                np.zeros((0, dim + 1)), np.zeros((2, 2, dim))):
+        for call in (approx.covered_mask, approx.batch_eval_all):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"shape {bad.shape}")):
+                call(bad)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(star_approx, workers):
+    _, _, approx = star_approx
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        approx.batch_eval_all(star_points(10, seed=27), workers=workers)
 
 
 @pytest.mark.parametrize("m", [1, 100])
@@ -242,13 +277,16 @@ def test_field_is_derivative_of_potential(star_approx):
     _, field = approx.batch_eval(pts)
     scale = np.sqrt((field**2).sum(-1)).max()
     step = 1e-5
+
+    def potential(x):
+        return approx.batch_eval_all(x[None])[0][0]
+
     for x, f in zip(pts, field):
         grad = np.zeros(3)
         for a in range(2):
             e = np.zeros(3)
             e[a] = step
-            grad[a] = (approx.eval_potential(x + e)
-                       - approx.eval_potential(x - e)) / (2 * step)
+            grad[a] = (potential(x + e) - potential(x - e)) / (2 * step)
         assert np.abs(np.cross([0.0, 0.0, 1.0], grad) - f).max() \
             <= 1e-5 * scale
 
