@@ -73,6 +73,15 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "n_values", tuple(self.n_values))
+        # Built-in problems draw their node and evaluation sets from the
+        # testbed generators; reject sizes they refuse before any is drawn.
+        if self.problem != "custom":
+            if self.eval_n < testbed.MIN_NODES:
+                raise ValueError(f"eval_n must be at least "
+                                 f"{testbed.MIN_NODES}")
+            if any(n < testbed.MIN_NODES for n in self.n_values):
+                raise ValueError(f"every node count must be at least "
+                                 f"{testbed.MIN_NODES}")
 
 
 def default_config(problem, **overrides):

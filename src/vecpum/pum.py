@@ -145,6 +145,13 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     ``values`` are the field samples at ``cover.nodes``.  Patches are fit
     serially; threads are used for batch evaluation only.
     """
+    # glibc serves blocks above its mmap threshold (128 KiB at start) with
+    # fresh mmaps, so every patch system would fault in new pages.  Freeing
+    # one mmapped block raises the threshold to that block's size and the
+    # heap trim threshold to twice it (mallopt(3), M_MMAP_THRESHOLD), after
+    # which the per-patch systems reuse heap pages.  The block is dropped at
+    # once and never touched.
+    np.empty(16 << 20, dtype=np.uint8)
     fits = [fit_patch(SampleSet(cover.nodes[idx], values[idx]),
                       kernel, surface, mode, patch_id=l)
             for l, idx in enumerate(cover.members)]

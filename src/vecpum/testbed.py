@@ -10,6 +10,7 @@ yields an independent quasi-uniform draw.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import expit
 
 from . import cover, geometry
@@ -179,43 +180,67 @@ def u3(points):
 # ---------------------------------------------------------------------------
 # Poisson-disk node generators
 
-def _poisson_disk(n_target, min_dist, dim, propose, inside, lo, hi, rng):
-    """Dart throwing with a uniform cell grid; cells hold at most one point.
+# The smallest node count the generators accept.
+MIN_NODES = 10
 
-    ``propose(rng, m)`` draws candidate points, ``inside`` filters them, and
-    ``lo``/``hi`` bound the coordinates for the grid hash.  Returns up to
-    ``n_target`` accepted points with pairwise distance >= min_dist.
+
+def _accept(cand, accepted, min_dist):
+    """Mask of the candidates that dart throwing keeps, in order.
+
+    A candidate is kept when its squared distance to every point of
+    ``accepted`` and to every earlier kept candidate is at least
+    ``min_dist**2``.  The k-d trees search slightly beyond ``min_dist`` and
+    every pair they return is re-checked with that exact test.
     """
-    cell = min_dist / np.sqrt(dim)
-    lo = np.asarray(lo, dtype=float)
-    shape = np.array([int(np.ceil((hi[k] - lo[k]) / cell)) + 1
-                      for k in range(dim)])
-    grid = np.full(shape, -1, dtype=np.int64)
-    # Cells are small enough that each holds at most one accepted point, and
-    # conflicting points are at most two cells away along each axis.
-    offsets = np.array(list(np.ndindex(*(5,) * dim))) - 2
-    pts = np.empty((n_target, dim))
+    r2 = min_dist * min_dist
+    reach = min_dist * (1.0 + 1e-9)
+    keep = np.ones(len(cand), dtype=bool)
+    tree = cKDTree(cand)
+    if len(accepted):
+        near = tree.sparse_distance_matrix(cKDTree(accepted), reach,
+                                           output_type="ndarray")
+        i, j = near["i"], near["j"]
+        keep[i[((accepted[j] - cand[i]) ** 2).sum(-1) < r2]] = False
+    first, later = tree.query_pairs(reach, output_type="ndarray").T
+    close = keep[first] & keep[later] & (
+        ((cand[first] - cand[later]) ** 2).sum(-1) < r2)
+    first, later = first[close], later[close]
+    # Sorted by the later candidate, each pair sees the final verdict on
+    # its earlier one.
+    order = np.argsort(later, kind="stable")
+    keep = keep.tolist()
+    for a, b in zip(first[order].tolist(), later[order].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return np.array(keep, dtype=bool)
+
+
+def _poisson_disk(n_target, min_dist, propose, inside, rng):
+    """Dart throwing with batched k-d tree acceptance.
+
+    ``propose(rng, m)`` draws candidate points and ``inside`` filters them.
+    Candidates are drawn 4096 at a time and accepted in proposal order, so
+    the result is that of testing them one by one.  Returns up to
+    ``n_target`` (positive) points with pairwise squared distance at least
+    ``min_dist**2``.
+    """
+    pts = None
     count = 0
     attempts = 0
     max_attempts = 400 * n_target + 10000
-    r2 = min_dist * min_dist
     while count < n_target and attempts < max_attempts:
-        cand = propose(rng, 4096)
-        cand = cand[inside(cand)]
+        batch = propose(rng, 4096)
+        batch = batch[inside(batch)]
         attempts += 4096
-        for c in cand:
-            key = ((c - lo) / cell).astype(int)
-            probe = key + offsets
-            valid = ((probe >= 0) & (probe < shape)).all(axis=1)
-            occ = grid[tuple(probe[valid].T)]
-            occ = occ[occ >= 0]
-            if occ.size:
-                d = pts[occ] - c
-                if ((d * d).sum(-1) < r2).any():
-                    continue
-            pts[count] = c
-            grid[tuple(key)] = count
-            count += 1
+        if pts is None:
+            pts = np.empty((n_target, batch.shape[1]))
+        # Chunks of at most n_target candidates hold about as many close
+        # pairs as points, however large min_dist is.
+        for lo in range(0, len(batch), n_target):
+            cand = batch[lo:lo + n_target]
+            new = cand[_accept(cand, pts[:count], min_dist)][:n_target - count]
+            pts[count:count + len(new)] = new
+            count += len(new)
             if count == n_target:
                 break
     return pts[:count]
@@ -227,8 +252,8 @@ def nodes_star(n_target, seed):
     Deterministic per seed; distinct seeds give independent draws (the
     repeat-trial analogue of re-perturbing a base node set).
     """
-    if n_target < 10:
-        raise ValueError("n_target must be at least 10")
+    if n_target < MIN_NODES:
+        raise ValueError(f"n_target must be at least {MIN_NODES}")
     rng = np.random.default_rng(seed)
     (x0, y0), (x1, y1) = STAR_BBOX
     min_dist = 0.70 * np.sqrt(STAR_AREA / n_target)
@@ -236,15 +261,14 @@ def nodes_star(n_target, seed):
     def propose(r, m):
         return r.uniform((x0, y0), (x1, y1), size=(m, 2))
 
-    return _poisson_disk(n_target, min_dist, 2, propose, inside_star,
-                         (x0, y0), (x1, y1), rng)
+    return _poisson_disk(n_target, min_dist, propose, inside_star, rng)
 
 
 def nodes_sphere(n_target, seed):
     """Exactly n_target Poisson-disk nodes on the unit sphere (chordal
     separation), deterministic per seed."""
-    if n_target < 10:
-        raise ValueError("n_target must be at least 10")
+    if n_target < MIN_NODES:
+        raise ValueError(f"n_target must be at least {MIN_NODES}")
     rng = np.random.default_rng(seed)
     min_dist = 0.72 * np.sqrt(4.0 * np.pi / n_target)
 
@@ -252,17 +276,16 @@ def nodes_sphere(n_target, seed):
         v = r.normal(size=(m, 3))
         return v / np.sqrt((v * v).sum(-1))[:, None]
 
-    pts = _poisson_disk(n_target, min_dist, 3, propose,
-                        lambda p: np.ones(len(p), dtype=bool),
-                        (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), rng)
+    pts = _poisson_disk(n_target, min_dist, propose,
+                        lambda p: np.ones(len(p), dtype=bool), rng)
     return pts / np.sqrt((pts * pts).sum(-1))[:, None]
 
 
 def nodes_ball(n_target, seed):
     """~n_target Poisson-disk nodes in the closed unit ball, deterministic
     per seed."""
-    if n_target < 10:
-        raise ValueError("n_target must be at least 10")
+    if n_target < MIN_NODES:
+        raise ValueError(f"n_target must be at least {MIN_NODES}")
     rng = np.random.default_rng(seed)
     volume = 4.0 * np.pi / 3.0
     min_dist = 0.70 * (volume / n_target) ** (1.0 / 3.0)
@@ -270,9 +293,8 @@ def nodes_ball(n_target, seed):
     def propose(r, m):
         return r.uniform(-1.0, 1.0, size=(m, 3))
 
-    return _poisson_disk(n_target, min_dist, 3, propose,
-                         lambda p: (p * p).sum(-1) <= 1.0,
-                         (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), rng)
+    return _poisson_disk(n_target, min_dist, propose,
+                         lambda p: (p * p).sum(-1) <= 1.0, rng)
 
 
 # ---------------------------------------------------------------------------

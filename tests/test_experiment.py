@@ -49,6 +49,19 @@ def test_invalid_configs_rejected():
         run_experiment(tiny_config(n_values=()))
 
 
+def test_node_counts_below_generator_minimum_rejected():
+    with pytest.raises(ValueError, match="eval_n"):
+        tiny_config(eval_n=testbed.MIN_NODES - 1)
+    with pytest.raises(ValueError, match="node count"):
+        tiny_config(n_values=(200, testbed.MIN_NODES - 1))
+    cfg = tiny_config(n_values=(testbed.MIN_NODES,),
+                      eval_n=testbed.MIN_NODES)
+    assert cfg.n_values == (testbed.MIN_NODES,)
+    # custom runs draw no nodes, so their sizes are not checked
+    RunConfig(problem="custom", kernel="imq", eps=4.0, q=3.0, delta=0.5,
+              n_values=(), eval_n=0)
+
+
 def test_rate_fit_algebraic_exact():
     ns = np.array([1000, 2000, 4000, 8000])
     errs = np.sqrt(ns) ** -3.5
@@ -173,6 +186,16 @@ def test_cli_runs_and_writes_csv(tmp_path):
 def test_cli_custom_requires_files(capsys):
     assert cli.main(["--problem", "custom"]) == 2
     assert "nodes-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--n", "5"], ["--eval-n", "0"],
+                                  ["--n", "200", "--n", "9"]])
+def test_cli_rejects_small_node_counts(args, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli.main(["--problem", "star2d"] + args) == 2
+    assert runs == []
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_cli_reports_run_failure(tmp_path, capsys):

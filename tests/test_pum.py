@@ -1,8 +1,14 @@
+import os
+import platform
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import vecpum
 from vecpum import cover, geometry, glue, testbed
 from vecpum.errors import CoverageError
 from vecpum.experiment import default_config, fit_and_glue
@@ -361,3 +367,40 @@ def test_partition_of_unity_consistency_mismatch_raises():
     with pytest.raises(ValueError):
         PumApproximant(cover=cov, fits=approx.fits[:-1],
                        shifts=solution, surface=PLANE, mode="div_surface")
+
+
+# Each build in a fresh interpreter; the sphere's per-patch systems (about
+# 0.8 MB each) sit above glibc's initial mmap threshold.
+BUILD_FAULTS = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from vecpum import testbed
+    from vecpum.experiment import default_config, fit_and_glue
+    problem = testbed.sphere_problem()
+    nodes = np.load(sys.argv[1])
+    values = problem.field(nodes)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fit_and_glue(problem, nodes, values, default_config("sphere"))
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    print(max(faults[1:]))
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc malloc's mmap threshold")
+def test_repeat_builds_reuse_heap_pages(tmp_path):
+    # Nodes read from a file come with no large allocation before the fit;
+    # without one, every patch system is a fresh mmap (~28k minor faults
+    # per N=2000 build).
+    path = tmp_path / "nodes.npy"
+    np.save(path, testbed.nodes_sphere(2000, 1))
+    src = os.path.dirname(os.path.dirname(vecpum.__file__))
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", BUILD_FAULTS, str(path)],
+                         env=env, capture_output=True, text=True,
+                         timeout=300, check=True)
+    assert int(out.stdout) <= 5000

@@ -4,6 +4,8 @@ from scipy.spatial import cKDTree
 
 from vecpum import geometry, testbed
 
+GENERATORS = [testbed.nodes_star, testbed.nodes_sphere, testbed.nodes_ball]
+
 
 def star_interior(m, seed):
     rng = np.random.default_rng(seed)
@@ -120,8 +122,7 @@ def test_analytic_fields_conserve():
     assert np.abs(div).max() < 1e-4 * np.abs(testbed.u2(sp)).max()
 
 
-@pytest.mark.parametrize("gen", [testbed.nodes_star, testbed.nodes_sphere,
-                                 testbed.nodes_ball])
+@pytest.mark.parametrize("gen", GENERATORS)
 def test_generators_deterministic(gen):
     a = gen(500, 42)
     b = gen(500, 42)
@@ -142,14 +143,109 @@ def test_generator_domains():
         testbed.nodes_star(5, 1)
 
 
-@pytest.mark.parametrize("gen", [testbed.nodes_star, testbed.nodes_sphere,
-                                 testbed.nodes_ball])
-def test_generators_quasi_uniform(gen):
+def raw_draw(monkeypatch, gen, n, seed):
+    """(min_dist, raw points) of the dart throwing behind ``gen(n, seed)``,
+    before the sphere generator re-normalizes its points."""
+    seen = {}
+    real = testbed._poisson_disk
+
+    def spy(n_target, min_dist, propose, inside, rng):
+        seen["min_dist"] = min_dist
+        seen["pts"] = real(n_target, min_dist, propose, inside, rng)
+        return seen["pts"]
+
+    monkeypatch.setattr(testbed, "_poisson_disk", spy)
+    gen(n, seed)
+    return seen["min_dist"], seen["pts"]
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_generators_quasi_uniform(gen, monkeypatch):
     pts = gen(5000, 7)
     dist, _ = cKDTree(pts).query(pts, k=2)
     nn = dist[:, 1]
     assert nn.min() > 0
     assert nn.max() / nn.min() <= 6.0
+    # Exact separation: every pair the tree finds within 2 min_dist passes
+    # the acceptance test itself.
+    min_dist, raw = raw_draw(monkeypatch, gen, 5000, 7)
+    i, j = cKDTree(raw).query_pairs(2.0 * min_dist, output_type="ndarray").T
+    assert len(i) > 0
+    assert (((raw[i] - raw[j]) ** 2).sum(-1) >= min_dist ** 2).all()
+
+
+# The per-candidate dart-throwing loop the batched generator replaced, kept
+# as its oracle.  Its grid needs the dimension and coordinate bounds of each
+# generator's proposals.
+def loop_poisson_disk(n_target, min_dist, dim, propose, inside, lo, hi, rng):
+    """Dart throwing with a uniform cell grid; cells hold at most one point.
+
+    ``propose(rng, m)`` draws candidate points, ``inside`` filters them, and
+    ``lo``/``hi`` bound the coordinates for the grid hash.  Returns up to
+    ``n_target`` accepted points with pairwise distance >= min_dist.
+    """
+    cell = min_dist / np.sqrt(dim)
+    lo = np.asarray(lo, dtype=float)
+    shape = np.array([int(np.ceil((hi[k] - lo[k]) / cell)) + 1
+                      for k in range(dim)])
+    grid = np.full(shape, -1, dtype=np.int64)
+    # Cells are small enough that each holds at most one accepted point, and
+    # conflicting points are at most two cells away along each axis.
+    offsets = np.array(list(np.ndindex(*(5,) * dim))) - 2
+    pts = np.empty((n_target, dim))
+    count = 0
+    attempts = 0
+    max_attempts = 400 * n_target + 10000
+    r2 = min_dist * min_dist
+    while count < n_target and attempts < max_attempts:
+        cand = propose(rng, 4096)
+        cand = cand[inside(cand)]
+        attempts += 4096
+        for c in cand:
+            key = ((c - lo) / cell).astype(int)
+            probe = key + offsets
+            valid = ((probe >= 0) & (probe < shape)).all(axis=1)
+            occ = grid[tuple(probe[valid].T)]
+            occ = occ[occ >= 0]
+            if occ.size:
+                d = pts[occ] - c
+                if ((d * d).sum(-1) < r2).any():
+                    continue
+            pts[count] = c
+            grid[tuple(key)] = count
+            count += 1
+            if count == n_target:
+                break
+    return pts[:count]
+
+
+LOOP_GRID = {
+    testbed.nodes_star: (2, *testbed.STAR_BBOX),
+    testbed.nodes_sphere: (3, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
+    testbed.nodes_ball: (3, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
+}
+
+ORACLE_SEEDS = {"1": 1, "7": 7, "seq2024": np.random.SeedSequence(2024),
+                "seq-experiment": np.random.SeedSequence(
+                    entropy=(3, 0xDA7A, 0, 1))}
+ORACLE_CASES = [pytest.param(n, seed, id=f"{n}-{label}")
+                for n in (10, 37, 500, 3000, 8000)
+                for label, seed in ORACLE_SEEDS.items()
+                if n < 3000 or label in ("7", "seq2024")]
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("n, seed", ORACLE_CASES)
+def test_generators_match_per_candidate_loop(gen, n, seed, monkeypatch):
+    batched = gen(n, seed)
+    dim, lo, hi = LOOP_GRID[gen]
+
+    def loop(n_target, min_dist, propose, inside, rng):
+        return loop_poisson_disk(n_target, min_dist, dim, propose, inside,
+                                 lo, hi, rng)
+
+    monkeypatch.setattr(testbed, "_poisson_disk", loop)
+    assert np.array_equal(batched, gen(n, seed))
 
 
 def test_problem_bundles_consistent():
