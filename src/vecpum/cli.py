@@ -45,31 +45,22 @@ def build_parser():
 
 
 def config_from_args(args):
+    given = dict(kernel=args.kernel, eps=args.eps, q=args.q, delta=args.delta,
+                 n_values=tuple(args.n) if args.n else None,
+                 trials=args.trials)
     if args.problem == "custom":
         if not args.nodes_file or not args.values_file:
             raise VecPumError("custom problems need --nodes-file and "
                               "--values-file")
-        return RunConfig(
-            problem="custom", kernel=args.kernel or "imq",
-            eps=args.eps if args.eps is not None else 4.0,
-            q=args.q if args.q is not None else 3.0,
-            delta=args.delta if args.delta is not None else 0.5,
-            gamma=args.gamma, n_values=(), trials=1, seed=args.seed,
-            eval_n=args.eval_n, nodes_file=args.nodes_file,
-            values_file=args.values_file, mode=args.mode,
-            surface=args.surface, area=args.area, workers=args.workers)
+        # A custom run is one fit of the supplied samples.
+        given.update(n_values=None, trials=None)
     defaults = PROBLEM_DEFAULTS[args.problem]
     return RunConfig(
-        problem=args.problem,
-        kernel=args.kernel or defaults["kernel"],
-        eps=args.eps if args.eps is not None else defaults["eps"],
-        q=args.q if args.q is not None else defaults["q"],
-        delta=args.delta if args.delta is not None else defaults["delta"],
-        gamma=args.gamma,
-        n_values=tuple(args.n) if args.n else defaults["n_values"],
-        trials=args.trials if args.trials is not None else
-        defaults["trials"],
-        seed=args.seed, eval_n=args.eval_n, workers=args.workers)
+        problem=args.problem, gamma=args.gamma, seed=args.seed,
+        eval_n=args.eval_n, nodes_file=args.nodes_file,
+        values_file=args.values_file, mode=args.mode, surface=args.surface,
+        area=args.area, workers=args.workers,
+        **{k: defaults[k] if v is None else v for k, v in given.items()})
 
 
 def main(argv=None):

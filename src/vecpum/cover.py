@@ -35,14 +35,15 @@ def spacing_from_q(q, area, n_nodes, dim):
     return q * (area / n_nodes) ** (1.0 / dim)
 
 
-def centers_plane(domain, spacing):
+def centers_plane(bbox, inside, spacing):
     """Hexagonal-lattice points of the given spacing inside a plane domain.
 
-    ``domain`` supplies ``bbox = ((x0, y0), (x1, y1))`` and a vectorized
-    ``inside(points) -> bool mask``.  Rows run along the x axis, anchored at
-    the bounding-box corner, with alternate rows offset by half a spacing.
+    The domain is the box ``bbox = ((x0, y0), (x1, y1))`` cut down by the
+    vectorized mask ``inside(points)``, or the whole box when ``inside`` is
+    None.  Rows run along the x axis, anchored at the bounding-box corner,
+    with alternate rows offset by half a spacing.
     """
-    (x0, y0), (x1, y1) = domain.bbox
+    (x0, y0), (x1, y1) = bbox
     row_step = spacing * np.sqrt(3.0) / 2.0
     ys = np.arange(y0, y1 + row_step, row_step)
     rows = []
@@ -51,7 +52,8 @@ def centers_plane(domain, spacing):
         xs = np.arange(x0 + shift, x1 + spacing, spacing)
         rows.append(np.stack([xs, np.full_like(xs, y)], axis=1))
     pts = np.concatenate(rows)
-    pts = pts[domain.inside(pts)]
+    if inside is not None:
+        pts = pts[inside(pts)]
     if len(pts) == 0:
         raise ConfigError("no plane patch centers survive the inside test; "
                           "spacing is too large for the domain")
@@ -320,13 +322,16 @@ class WeightEval:
 
 
 def weights_at(cover, x):
-    """Evaluate w_l(x) and grad w_l(x) for every patch containing x.
+    """Evaluate w_l(x) and grad w_l(x) for every patch containing the one
+    point x (ValueError for any other number of points).
 
     The weights are the Shepard quotient kappa_l / sum_j kappa_j with
     kappa_l(x) = kappa(||x - center_l|| / radius_l); gradients come from the
     quotient rule, so they sum to zero across the active patches.
     """
     x = finite_points(x, cover.centers.shape[1])
+    if len(x) != 1:
+        raise ValueError(f"weights_at takes one point, got {len(x)}")
     inc, k, grad_k = shepard_terms(cover, cover.incidence(x))
     idx = inc.patch
     if len(idx) == 0:

@@ -8,13 +8,16 @@ and the truth to zero mean over the evaluation points, and the per-N error
 reported downstream is the mean over trials.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry as geo
 from . import testbed
-from .cover import assign_radii_and_inflate, spacing_from_q
+from .cover import (assign_radii_and_inflate, centers_plane, centers_sphere,
+                    spacing_from_q)
 from .errors import VecPumError
 from .kernels import RadialKernel
 from .pum import build_approximant
@@ -32,6 +35,9 @@ PROBLEM_DEFAULTS = {
                    n_values=(2000, 4000, 8000), trials=5),
     "ball": dict(kernel="imq", eps=4.0, q=3.0, delta=0.25,
                  n_values=(3000, 6000, 12000), trials=5),
+    # One fit of the supplied samples; the node count is theirs.
+    "custom": dict(kernel="imq", eps=4.0, q=3.0, delta=0.5,
+                   n_values=(), trials=1),
 }
 
 _EVAL_TAG = 0xE7A1
@@ -60,14 +66,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.q <= 0:
-            raise ValueError("q must be positive")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        for name in ("eps", "q", "delta"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be nonnegative and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
@@ -130,11 +133,6 @@ class RunResult:
             out[n] = float(np.mean(vals))
         return out
 
-    def level_actual_n(self):
-        return {n: float(np.mean([r.n_actual for r in self.records
-                                  if r.n_requested == n]))
-                for n in self.n_levels()}
-
 
 def _seed_for(seed, *key):
     return np.random.SeedSequence(entropy=(int(seed),) + tuple(
@@ -182,62 +180,84 @@ def fit_and_glue(problem, nodes, values, config):
     return approx, solution
 
 
+def _run_trial(problem, config, n_req, trial, nodes, values, eval_pts,
+               truth_field, truth_pot):
+    """Fit one node set, evaluate it where it covers ``eval_pts`` and score
+    it; ``truth_pot`` None leaves the potential errors NaN."""
+    t0 = time.perf_counter()
+    try:
+        approx, solution = fit_and_glue(problem, nodes, values, config)
+    except VecPumError as exc:
+        raise ExperimentError("fit", n_req, trial, exc) from exc
+    t1 = time.perf_counter()
+    mask = approx.covered_mask(eval_pts)
+    pts = eval_pts[mask]
+    try:
+        pot, fld = approx.batch_eval(pts, workers=config.workers)
+    except VecPumError as exc:
+        raise ExperimentError("eval", n_req, trial, exc) from exc
+    t2 = time.perf_counter()
+    e_inf, e_two = relative_vector_errors(fld, truth_field[mask])
+    p_inf = p_two = float("nan")
+    if truth_pot is not None:
+        p_inf, p_two = relative_potential_errors(pot, truth_pot[mask])
+    res_inf = (float(np.abs(solution.residual).max())
+               if len(solution.residual) else 0.0)
+    return TrialRecord(
+        n_requested=n_req, n_actual=len(nodes), trial=trial,
+        err_field_inf=e_inf, err_field_2=e_two,
+        err_pot_inf=p_inf, err_pot_2=p_two, glue_res_inf=res_inf,
+        max_fit_residual=max(f.fit_residual for f in approx.fits),
+        n_eval_used=len(pts), n_eval_dropped=int((~mask).sum()),
+        t_fit_ms=(t1 - t0) * 1e3, t_eval_ms=(t2 - t1) * 1e3)
+
+
 def run_experiment(config):
     """Run the configured sweep and collect per-trial error records.
 
     Deterministic for a fixed config and seed: node and evaluation sets are
     drawn from seeds derived from (seed, level, trial).  Evaluation points
     that fall outside the cover (rare boundary slivers) are dropped and
-    counted.
+    counted.  A custom run is one trial scored at its own sample nodes:
+    there is no analytic truth, so the field columns report the relative
+    residual of the blended field and the potential columns are NaN.
     """
+    result = RunResult(config=config)
     if config.problem == "custom":
-        return run_custom(config)
+        problem, nodes, values = _custom_problem(config)
+        result.records.append(_run_trial(problem, config, len(nodes), 0,
+                                         nodes, values, nodes, values, None))
+        return result
     problem = testbed.PROBLEMS[config.problem]()
     if not config.n_values:
         raise ValueError("config.n_values is empty")
     eval_pts = problem.nodes(config.eval_n, _seed_for(config.seed, _EVAL_TAG))
-    truth_field = problem.field(eval_pts)
-    truth_pot = problem.potential_sign * problem.potential(eval_pts)
-
-    result = RunResult(config=config)
+    truth = (eval_pts, problem.field(eval_pts),
+             problem.potential_sign * problem.potential(eval_pts))
     for level, n_req in enumerate(config.n_values):
         for trial in range(config.trials):
             nodes = problem.nodes(
                 n_req, _seed_for(config.seed, _NODE_TAG, level, trial))
-            values = problem.field(nodes)
-            t0 = time.perf_counter()
-            try:
-                approx, solution = fit_and_glue(problem, nodes, values,
-                                                config)
-            except VecPumError as exc:
-                raise ExperimentError("fit", n_req, trial, exc) from exc
-            t1 = time.perf_counter()
-            mask = approx.covered_mask(eval_pts)
-            pts = eval_pts[mask]
-            try:
-                pot, fld = approx.batch_eval(pts, workers=config.workers)
-            except VecPumError as exc:
-                raise ExperimentError("eval", n_req, trial, exc) from exc
-            t2 = time.perf_counter()
-            e_inf, e_two = relative_vector_errors(fld, truth_field[mask])
-            p_inf, p_two = relative_potential_errors(pot, truth_pot[mask])
-            res_inf = (float(np.abs(solution.residual).max())
-                       if len(solution.residual) else 0.0)
-            result.records.append(TrialRecord(
-                n_requested=n_req, n_actual=len(nodes), trial=trial,
-                err_field_inf=e_inf, err_field_2=e_two,
-                err_pot_inf=p_inf, err_pot_2=p_two,
-                glue_res_inf=res_inf,
-                max_fit_residual=max(f.fit_residual for f in approx.fits),
-                n_eval_used=len(pts),
-                n_eval_dropped=int((~mask).sum()),
-                t_fit_ms=(t1 - t0) * 1e3, t_eval_ms=(t2 - t1) * 1e3))
+            result.records.append(_run_trial(
+                problem, config, n_req, trial, nodes, problem.field(nodes),
+                *truth))
     return result
 
 
-def _custom_problem(config):
-    from . import geometry as geo
+def _box_centers(surface_kind, lo, hi, h):
+    """Patch centers for custom samples: the sphere's spiral, or a lattice
+    over the samples' bounding box."""
+    if surface_kind == "sphere":
+        return centers_sphere(h)
+    if surface_kind == "r3":
+        ticks = [np.arange(lo[k], hi[k] + h, h) for k in range(3)]
+        return np.stack(np.meshgrid(*ticks, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+    pts = centers_plane(((lo[0], lo[1]), (hi[0], hi[1])), None, h)
+    return geo.embed_points(pts) if surface_kind == "plane" else pts
 
+
+def _custom_problem(config):
     nodes = testbed.load_points(config.nodes_file)
     values = testbed.load_points(config.values_file)
     if nodes.shape != values.shape:
@@ -255,68 +275,20 @@ def _custom_problem(config):
         surface, mode, dim = geo.euclidean(d), "curl_euclidean", d
     else:
         raise ValueError(f"unknown surface {surface_kind!r}")
-    if config.mode:
-        mode = config.mode
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
-    span = np.maximum(hi - lo, 1e-12)
     if config.area is not None:
         area = config.area
     elif surface_kind == "sphere":
         area = 4.0 * np.pi
     else:
-        area = float(np.prod(span[:dim]))
-
-    class _Box:
-        bbox = ((lo[0], lo[1]), (hi[0], hi[1]))
-
-        @staticmethod
-        def inside(points):
-            return np.ones(len(points), dtype=bool)
-
-    def make_centers(h):
-        from . import cover as cov_mod
-        if surface_kind == "sphere":
-            return cov_mod.centers_sphere(h)
-        if surface_kind == "r3":
-            ticks = [np.arange(lo[k], hi[k] + h, h) for k in range(3)]
-            gx, gy, gz = np.meshgrid(*ticks, indexing="ij")
-            return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-        pts = cov_mod.centers_plane(_Box, h)
-        return geo.embed_points(pts) if surface.kind == "plane" else pts
-
+        area = float(np.prod(np.maximum(hi - lo, 1e-12)[:dim]))
     problem = testbed.TestProblem(
-        name="custom", surface=surface, mode=mode, area=area,
+        name="custom", surface=surface, mode=config.mode or mode, area=area,
         intrinsic_dim=dim, potential=None, field=None, potential_sign=1.0,
-        nodes=None, make_centers=make_centers, inside=None)
+        nodes=None,
+        make_centers=functools.partial(_box_centers, surface_kind, lo, hi))
     return problem, nodes, values
-
-
-def run_custom(config):
-    """Fit externally supplied samples; errors are residuals at the nodes.
-
-    No analytic truth exists, so the field columns report the relative
-    residual of the blended field at the sample nodes and the potential
-    columns are NaN.
-    """
-    problem, nodes, values = _custom_problem(config)
-    t0 = time.perf_counter()
-    approx, solution = fit_and_glue(problem, nodes, values, config)
-    t1 = time.perf_counter()
-    _, fld = approx.batch_eval(nodes)
-    t2 = time.perf_counter()
-    e_inf, e_two = relative_vector_errors(fld, values)
-    result = RunResult(config=config)
-    result.records.append(TrialRecord(
-        n_requested=len(nodes), n_actual=len(nodes), trial=0,
-        err_field_inf=e_inf, err_field_2=e_two,
-        err_pot_inf=float("nan"), err_pot_2=float("nan"),
-        glue_res_inf=(float(np.abs(solution.residual).max())
-                      if len(solution.residual) else 0.0),
-        max_fit_residual=max(f.fit_residual for f in approx.fits),
-        n_eval_used=len(nodes), n_eval_dropped=0,
-        t_fit_ms=(t1 - t0) * 1e3, t_eval_ms=(t2 - t1) * 1e3))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +357,7 @@ def emit_summary(result):
     lines = [f"problem={cfg.problem} kernel={cfg.kernel} eps={cfg.eps:g} "
              f"q={cfg.q:g} delta={cfg.delta:g} gamma={cfg.gamma:g}"]
     levels = result.n_levels()
-    mean_n = result.level_actual_n()
+    mean_n = result.level_mean("n_actual")
     inf_err = result.level_mean("err_field_inf")
     two_err = result.level_mean("err_field_2")
     pot_inf = result.level_mean("err_pot_inf")

@@ -98,8 +98,8 @@ def build_shift_system(graph, fits):
 
 def glue_weights(graph, gamma):
     """Diagonal weights exp(-gamma (1 - r_i/r_min)^2); identity at gamma=0."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < np.inf:
+        raise ValueError("gamma must be nonnegative and finite")
     if len(graph.r_near) == 0:
         return np.zeros(0)
     r_min = graph.r_near.min()

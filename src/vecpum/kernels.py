@@ -50,7 +50,7 @@ class RadialKernel:
         One of ``"imq"`` (inverse multiquadric) or ``"matern4"`` (exponential
         times a degree-4 polynomial).
     epsilon : float
-        Shape parameter, in inverse-length units.  Must be positive.
+        Shape parameter, in inverse-length units.  Must be positive and finite.
     """
 
     family: str
@@ -60,8 +60,8 @@ class RadialKernel:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; "
                              f"expected one of {FAMILIES}")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
 
     def phi(self, r):
         """Evaluate phi(r).  Accepts scalars or arrays, r >= 0."""

@@ -167,17 +167,8 @@ class LocalFit:
     coef_vectors: np.ndarray
     eval_vectors: np.ndarray
     sign: float
-    frames: tuple = None
     alpha_beta: np.ndarray = None
     fit_residual: float = 0.0
-
-    def _pair_terms(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = points[:, None, :] - self.nodes[None, :, :]
-        r = np.sqrt((diff * diff).sum(-1))
-        f, s = self.kernel.hessian_coeffs(r)
-        proj = (diff * self.eval_vectors[None, :, :]).sum(-1)
-        return points, diff, f, s, proj
 
     def potential_at(self, points):
         """Scalar potential of the interpolant at the given points."""
@@ -190,16 +181,18 @@ class LocalFit:
 
     def field_at(self, points):
         """Vector interpolant at the given points (tangent on surfaces)."""
-        points, diff, f, s, proj = self._pair_terms(points)
-        raw = self.sign * (f[:, :, None] * self.eval_vectors[None, :, :] +
-                           (s * proj)[:, :, None] * diff).sum(axis=1)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
         return geometry.tangent_operator(self.mode, self.surface, points,
-                                         raw)
+                                         self.field_potential_at(points)[1])
 
     def field_potential_at(self, points):
         """(potential, unprojected field) sharing one pass over the node
         pairs; ``tangent_operator`` of the second output is ``field_at``."""
-        points, diff, f, s, proj = self._pair_terms(points)
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        diff = points[:, None, :] - self.nodes[None, :, :]
+        r = np.sqrt((diff * diff).sum(-1))
+        f, s = self.kernel.hessian_coeffs(r)
+        proj = (diff * self.eval_vectors[None, :, :]).sum(-1)
         pot = self.sign * (f * proj).sum(-1)
         raw = self.sign * (f[:, :, None] * self.eval_vectors[None, :, :] +
                            (s * proj)[:, :, None] * diff).sum(axis=1)
@@ -257,7 +250,7 @@ def fit_patch(samples, kernel, surface, mode, frames=None, patch_id=None):
     worst = float(np.sqrt((miss * miss).sum(-1)).max())
     return LocalFit(mode=mode, kernel=kernel, surface=surface, nodes=nodes,
                     coef_vectors=coef, eval_vectors=evec, sign=sign,
-                    frames=frames, alpha_beta=alpha_beta,
+                    alpha_beta=alpha_beta,
                     fit_residual=worst / scale if scale > 0 else worst)
 
 

@@ -300,16 +300,6 @@ def nodes_ball(n_target, seed):
 # ---------------------------------------------------------------------------
 # problem bundles
 
-class _StarDomain:
-    """Inside test + bounding box consumed by the plane center lattice."""
-
-    bbox = STAR_BBOX
-
-    @staticmethod
-    def inside(points):
-        return inside_star(points)
-
-
 @dataclass(frozen=True)
 class TestProblem:
     """Everything an experiment needs: geometry, analytic truth, and nodes.
@@ -331,7 +321,6 @@ class TestProblem:
     potential_sign: float
     nodes: callable
     make_centers: callable
-    inside: callable = None
 
 
 def star_problem():
@@ -345,23 +334,20 @@ def star_problem():
         return geometry.embed_points(nodes_star(n, seed))
 
     def centers(h):
-        return geometry.embed_points(cover.centers_plane(_StarDomain, h))
-
-    def inside3(p):
-        return inside_star(np.asarray(p)[:, :2])
+        return geometry.embed_points(
+            cover.centers_plane(STAR_BBOX, inside_star, h))
 
     return TestProblem(name="star2d", surface=geometry.plane2d(),
                        mode="div_surface", area=6.0, intrinsic_dim=2,
                        potential=pot3, field=field3, potential_sign=1.0,
-                       nodes=nodes3, make_centers=centers, inside=inside3)
+                       nodes=nodes3, make_centers=centers)
 
 
 def sphere_problem():
     return TestProblem(name="sphere", surface=geometry.sphere2(),
                        mode="div_surface", area=4.0 * np.pi, intrinsic_dim=2,
                        potential=psi2, field=u2, potential_sign=1.0,
-                       nodes=nodes_sphere, make_centers=cover.centers_sphere,
-                       inside=None)
+                       nodes=nodes_sphere, make_centers=cover.centers_sphere)
 
 
 def ball_problem():
@@ -369,8 +355,7 @@ def ball_problem():
                        mode="curl_euclidean", area=4.0 * np.pi / 3.0,
                        intrinsic_dim=3, potential=psi3, field=u3,
                        potential_sign=-1.0, nodes=nodes_ball,
-                       make_centers=cover.centers_ball,
-                       inside=lambda p: (np.asarray(p) ** 2).sum(-1) <= 1.0)
+                       make_centers=cover.centers_ball)
 
 
 PROBLEMS = {

@@ -203,7 +203,7 @@ def test_criterion_05_conservation_separation(star_5000):
 def test_criterion_06_matern_algebraic_rate(sphere_result):
     res, elapsed = sphere_result
     levels = res.n_levels()
-    mean_n = res.level_actual_n()
+    mean_n = res.level_mean("n_actual")
     ns = [mean_n[n] for n in levels]
     inf_err = [res.level_mean("err_field_inf")[n] for n in levels]
     two_err = [res.level_mean("err_field_2")[n] for n in levels]
@@ -220,7 +220,7 @@ def test_criterion_06_matern_algebraic_rate(sphere_result):
 def test_criterion_07_imq_superalgebraic_fit(star_rate_result):
     res, elapsed = star_rate_result
     levels = res.n_levels()
-    mean_n = res.level_actual_n()
+    mean_n = res.level_mean("n_actual")
     ns = [mean_n[n] for n in levels]
     errs = [res.level_mean("err_field_inf")[n] for n in levels]
     c, r2 = fit_rate(ns, errs, "superalgebraic", dim=2)
@@ -235,7 +235,7 @@ def test_criterion_07_imq_superalgebraic_fit(star_rate_result):
 def test_criterion_08_ball_curl_free(ball_result):
     res, elapsed = ball_result
     levels = res.n_levels()
-    mean_n = res.level_actual_n()
+    mean_n = res.level_mean("n_actual")
     ns = [mean_n[n] for n in levels]
     fi = [res.level_mean("err_field_inf")[n] for n in levels]
     f2 = [res.level_mean("err_field_2")[n] for n in levels]
@@ -317,7 +317,7 @@ def test_criterion_11_mean_nodes_per_patch():
 def test_criterion_12_fit_time_scaling(sphere_result):
     res, _ = sphere_result
     levels = [n for n in res.n_levels() if n >= 4000]
-    mean_n = res.level_actual_n()
+    mean_n = res.level_mean("n_actual")
     # The fastest of a level's repeated fits: host noise only adds time.
     ts = np.array([min(r.t_fit_ms for r in res.records
                        if r.n_requested == n) for n in levels])

@@ -5,18 +5,17 @@ from vecpum import cover, geometry, testbed
 from vecpum.errors import ConfigError, CoverageError, CoverConnectivityError
 
 
-class BoxDomain:
-    bbox = ((0.0, 0.0), (1.0, 1.0))
+BOX = ((0.0, 0.0), (1.0, 1.0))
 
-    @staticmethod
-    def inside(points):
-        points = np.atleast_2d(points)
-        return ((points >= 0.0) & (points <= 1.0)).all(axis=1)
+
+def inside_box(points):
+    points = np.atleast_2d(points)
+    return ((points >= 0.0) & (points <= 1.0)).all(axis=1)
 
 
 def small_cover(nodes, delta=0.5, spacing=0.4, surface=None):
     surface = surface or geometry.euclidean(2)
-    centers = cover.centers_plane(BoxDomain, spacing)
+    centers = cover.centers_plane(BOX, inside_box, spacing)
     return cover.assign_radii_and_inflate(centers, nodes, delta, surface,
                                           spacing)
 
@@ -59,21 +58,25 @@ def test_centers_ball_contains_origin():
 
 
 def test_centers_plane_star_domain_inside():
-    pts = cover.centers_plane(testbed._StarDomain, 0.2)
+    pts = cover.centers_plane(testbed.STAR_BBOX, testbed.inside_star, 0.2)
     assert len(pts) > 0
     assert testbed.inside_star(pts).all()
 
 
 def test_centers_plane_too_coarse_raises():
-    class Tiny:
-        bbox = ((0.0, 0.0), (0.1, 0.1))
-
-        @staticmethod
-        def inside(points):
-            return np.zeros(len(np.atleast_2d(points)), dtype=bool)
+    def nowhere(points):
+        return np.zeros(len(np.atleast_2d(points)), dtype=bool)
 
     with pytest.raises(ConfigError):
-        cover.centers_plane(Tiny, 5.0)
+        cover.centers_plane(((0.0, 0.0), (0.1, 0.1)), nowhere, 5.0)
+
+
+def test_centers_plane_without_inside_test_keeps_the_lattice():
+    whole = cover.centers_plane(BOX, None, 0.25)
+    assert np.array_equal(whole[inside_box(whole)],
+                          cover.centers_plane(BOX, inside_box, 0.25))
+    assert len(whole) > inside_box(whole).sum()
+    assert whole[:, 0].max() >= 1.0 and whole[:, 1].max() >= 1.0
 
 
 def test_initial_radius_rules():
@@ -218,13 +221,31 @@ def test_weights_reject_bad_points():
         cover.weights_at(cov, np.array([0.5, 0.5, 0.0]))
 
 
+def test_weights_take_exactly_one_point():
+    # Two overlapping disks: a batch of points would mix their Shepard
+    # quotients into one normalization, so only a single point is accepted.
+    cov = cover.Cover(centers=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                      radii=np.array([0.8, 0.8]),
+                      members=[np.array([0]), np.array([1])],
+                      nodes=np.array([[0.0, 0.0], [1.0, 0.0]]))
+    for pts in ([[0.1, 0.0], [0.5, 0.0]], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="one point"):
+            cover.weights_at(cov, np.array(pts))
+    one = cover.weights_at(cov, np.array([[0.5, 0.0]]))
+    flat = cover.weights_at(cov, np.array([0.5, 0.0]))
+    assert one.indices.tolist() == flat.indices.tolist() == [0, 1]
+    assert np.array_equal(one.weights, flat.weights)
+    assert one.weights.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 def test_one_stability_proxy_over_refinement():
     # max ||grad w|| * rho stays bounded as the cover refines
     worst = 0.0
     for n in (500, 1000, 2000):
         nodes = testbed.nodes_star(n, seed=77)
         h = cover.spacing_from_q(8.0, 6.0, n, 2)
-        centers = cover.centers_plane(testbed._StarDomain, h)
+        centers = cover.centers_plane(testbed.STAR_BBOX, testbed.inside_star,
+                                      h)
         cov = cover.assign_radii_and_inflate(centers, nodes, 0.5,
                                              geometry.euclidean(2), h)
         rng = np.random.default_rng(n)
@@ -241,7 +262,8 @@ def test_mean_members_stable_under_doubling():
     for n in (2000, 4000):
         nodes = testbed.nodes_star(n, seed=5)
         h = cover.spacing_from_q(8.0, 6.0, n, 2)
-        centers = cover.centers_plane(testbed._StarDomain, h)
+        centers = cover.centers_plane(testbed.STAR_BBOX, testbed.inside_star,
+                                      h)
         cov = cover.assign_radii_and_inflate(centers, nodes, 0.5,
                                              geometry.euclidean(2), h)
         means.append(cov.member_counts().mean())

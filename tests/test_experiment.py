@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,9 +151,23 @@ def test_eval_resampling_stability():
     assert abs(ra.err_field_2 - rb.err_field_2) < 0.2 * ra.err_field_2
 
 
-def test_custom_problem_round_trip(tmp_path):
-    pts = testbed.nodes_ball(300, 11)
-    vals = testbed.u3(pts)
+# surface -> (node generator, field, bound on the field residual at the
+# nodes, extra RunConfig settings).  300 nodes leave the sphere's jets
+# under-resolved, hence its looser bound.
+CUSTOM_CASES = {
+    "plane": (testbed.nodes_star, testbed.u1, 0.1, {}),
+    "sphere": (testbed.nodes_sphere, testbed.u2, 0.3, {}),
+    "r2": (testbed.nodes_star, testbed.grad_psi1, 0.1, {}),
+    "r3": (testbed.nodes_ball, testbed.u3, 0.1,
+           dict(mode="curl_euclidean", area=4.19)),
+}
+
+
+@pytest.mark.parametrize("surface", list(CUSTOM_CASES))
+def test_custom_problem_round_trip(surface, tmp_path):
+    make_nodes, make_field, bound, extra = CUSTOM_CASES[surface]
+    pts = make_nodes(300, 11)
+    vals = make_field(pts)
     nodes_file = tmp_path / "nodes.txt"
     values_file = tmp_path / "values.txt"
     testbed.save_points(pts, nodes_file)
@@ -160,16 +175,32 @@ def test_custom_problem_round_trip(tmp_path):
     cfg = RunConfig(problem="custom", kernel="imq", eps=4.0, q=3.0,
                     delta=0.5, gamma=4.0, n_values=(), trials=1, seed=0,
                     eval_n=0, nodes_file=str(nodes_file),
-                    values_file=str(values_file), surface="r3",
-                    mode="curl_euclidean", area=4.19)
+                    values_file=str(values_file), surface=surface, **extra)
     res = run_experiment(cfg)
+    assert len(res.records) == 1
     rec = res.records[0]
-    assert rec.n_actual == 300
+    assert rec.n_requested == rec.n_actual == rec.n_eval_used == len(pts)
+    assert rec.trial == 0 and rec.n_eval_dropped == 0
     # the blended field at the nodes stays within the correction-term scale
     # of the samples (true interpolation holds patchwise, N here is tiny)
-    assert np.isfinite(rec.err_field_inf) and rec.err_field_inf < 0.1
+    assert np.isfinite(rec.err_field_inf) and rec.err_field_inf < bound
     assert rec.max_fit_residual <= 1e-8
-    assert np.isnan(rec.err_pot_inf)
+    assert np.isnan(rec.err_pot_inf) and np.isnan(rec.err_pot_2)
+
+    # the record is a direct fit, glue and evaluation at the sample nodes
+    problem, nodes, values = experiment._custom_problem(cfg)
+    approx, solution = experiment.fit_and_glue(problem, nodes, values, cfg)
+    _, fld = approx.batch_eval(nodes)
+    e_inf, e_two = experiment.relative_vector_errors(fld, values)
+    assert (rec.err_field_inf, rec.err_field_2) == (e_inf, e_two)
+    assert rec.glue_res_inf == np.abs(solution.residual).max()
+    assert rec.max_fit_residual == max(f.fit_residual for f in approx.fits)
+
+    threaded = run_experiment(replace(cfg, workers=2)).records[0]
+    for name in vars(rec):
+        if name not in ("t_fit_ms", "t_eval_ms"):
+            assert np.array_equal(getattr(threaded, name),
+                                  getattr(rec, name), equal_nan=True), name
 
 
 def test_cli_runs_and_writes_csv(tmp_path):
@@ -196,6 +227,38 @@ def test_cli_rejects_small_node_counts(args, capsys, monkeypatch):
     assert cli.main(["--problem", "star2d"] + args) == 2
     assert runs == []
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--gamma", "nan"], ["--gamma", "inf"], ["--eps", "inf"],
+    ["--eps", "nan"], ["--delta", "inf"], ["--q", "nan"], ["--q", "inf"]])
+@pytest.mark.parametrize("problem", [
+    ["--problem", "star2d", "--n", "500", "--trials", "1", "--eval-n", "500"],
+    ["--problem", "custom", "--nodes-file", "n.txt", "--values-file",
+     "v.txt"]])
+def test_cli_rejects_non_finite_parameters(problem, args, capsys,
+                                           monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli.main(problem + args) == 2
+    assert runs == []
+    assert "must be" in capsys.readouterr().err
+
+
+def test_non_finite_parameters_rejected():
+    for name in ("eps", "q", "delta", "gamma"):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                tiny_config(**{name: bad})
+
+
+def test_cli_custom_ignores_n_and_trials():
+    args = cli.build_parser().parse_args([
+        "--problem", "custom", "--nodes-file", "n.txt", "--values-file",
+        "v.txt", "--n", "500", "--trials", "3"])
+    cfg = cli.config_from_args(args)
+    assert (cfg.kernel, cfg.eps, cfg.q, cfg.delta) == ("imq", 4.0, 3.0, 0.5)
+    assert cfg.n_values == () and cfg.trials == 1
 
 
 def test_cli_reports_run_failure(tmp_path, capsys):

@@ -229,6 +229,13 @@ def test_glue_weights():
         glue.glue_weights(graph, -1.0)
 
 
+@pytest.mark.parametrize("gamma", [np.inf, np.nan])
+def test_glue_weights_reject_non_finite_gamma(gamma):
+    graph = glue.build_glue_graph(chain_cover(), EUC2)
+    with pytest.raises(ValueError, match="finite"):
+        glue.glue_weights(graph, gamma)
+
+
 def test_weighted_solve_on_loop_graph():
     # a 4-cycle with inconsistent c has nonzero residual; weighting tilts it
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])

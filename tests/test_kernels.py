@@ -54,6 +54,13 @@ def test_bad_construction_rejected():
         RadialKernel("imq", 0.0)
 
 
+@pytest.mark.parametrize("eps", [np.inf, -np.inf, np.nan])
+def test_non_finite_epsilon_rejected(eps):
+    for family in ("imq", "matern4"):
+        with pytest.raises(ValueError, match="finite"):
+            RadialKernel(family, eps)
+
+
 def test_f_limit_at_zero():
     # phi'(r) = -eps^2 r (1+(eps r)^2)^(-3/2) for the IMQ, so F(0) = -eps^2.
     assert RadialKernel("imq", 1.0).phi_d1_over_r(0.0) == pytest.approx(-1.0)

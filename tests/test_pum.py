@@ -24,7 +24,7 @@ def star_setup(n, seed=23, q=8.0, delta=0.5):
     values = geometry.embed_points(testbed.u1(nodes[:, :2]))
     h = cover.spacing_from_q(q, 6.0, len(nodes), 2)
     centers = geometry.embed_points(
-        cover.centers_plane(testbed._StarDomain, h))
+        cover.centers_plane(testbed.STAR_BBOX, testbed.inside_star, h))
     cov = cover.assign_radii_and_inflate(centers, nodes, delta, PLANE, h)
     return nodes, values, cov
 
