@@ -13,12 +13,7 @@ from .errors import (ConfigError, CoverageError, CoverConnectivityError,
 from .kernels import RadialKernel
 from .geometry import euclidean, plane2d, sphere2
 from .cover import (Cover, assign_radii_and_inflate, centers_ball,
-                    centers_plane, centers_sphere, kappa, kappa_prime,
-                    single_patch_cover, spacing_from_q, weights_at)
-from .localfit import (LocalFit, SampleSet, fit_global, fit_patch,
-                       phi_curl_block, phi_div_block)
-from .glue import (GlueGraph, ShiftSolution, build_glue_graph,
-                   build_shift_system, solve_shifts)
+                    centers_plane, centers_sphere, spacing_from_q)
 from .pum import PumApproximant, build_approximant
 from .experiment import (RunConfig, RunResult, default_config, emit_csv,
                          emit_summary, fit_rate, run_experiment)
@@ -28,12 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RadialKernel", "plane2d", "sphere2", "euclidean",
     "Cover", "spacing_from_q", "centers_plane", "centers_ball",
-    "centers_sphere", "assign_radii_and_inflate", "single_patch_cover",
-    "kappa", "kappa_prime", "weights_at",
-    "SampleSet", "LocalFit", "fit_patch", "fit_global",
-    "phi_div_block", "phi_curl_block",
-    "GlueGraph", "ShiftSolution", "build_glue_graph", "build_shift_system",
-    "solve_shifts",
+    "centers_sphere", "assign_radii_and_inflate",
     "PumApproximant", "build_approximant",
     "RunConfig", "RunResult", "default_config", "run_experiment",
     "fit_rate", "emit_csv", "emit_summary",

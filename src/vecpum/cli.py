@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from .errors import VecPumError
+from .errors import ConfigError, VecPumError
 from .experiment import (PROBLEM_DEFAULTS, RunConfig, emit_csv, emit_summary,
                          run_experiment)
 
@@ -72,6 +72,9 @@ def main(argv=None):
         return 2
     try:
         result = run_experiment(config)
+    except ConfigError as exc:
+        print(f"vecpum: configuration error: {exc}", file=sys.stderr)
+        return 2
     except (VecPumError, ValueError) as exc:
         print(f"vecpum: run failed: {exc}", file=sys.stderr)
         return 1

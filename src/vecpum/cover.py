@@ -28,6 +28,12 @@ _QUERY_MARGIN = 1e-9
 QUERY_BLOCK = 2048
 
 
+def _inside(d2, rho):
+    # Strict membership: exactly the pairs whose Shepard bump is positive
+    # (d2 < rho**2 disagrees within an ulp of the boundary).
+    return np.sqrt(d2) < rho
+
+
 def spacing_from_q(q, area, n_nodes, dim):
     """Patch spacing H = q * (area / n_nodes)**(1/dim)."""
     if q <= 0 or area <= 0 or n_nodes <= 0 or dim <= 0:
@@ -127,8 +133,9 @@ class Cover:
 
     ``members[l]`` indexes the nodes strictly inside patch l.  ``tree``
     indexes the patch centers and ``edges`` holds the overlapping patch
-    pairs (``patch_graph_edges``); both are derived on construction, which
-    raises CoverConnectivityError on a disconnected patch graph.
+    pairs (``patch_graph_edges``).  Construction raises ConfigError unless
+    every patch has members, and CoverConnectivityError on a disconnected
+    patch graph.
     """
 
     centers: np.ndarray
@@ -139,6 +146,9 @@ class Cover:
     edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.members or not all(len(idx) for idx in self.members):
+            raise ConfigError("a cover needs at least one patch and member "
+                              "nodes in every patch")
         self.tree = cKDTree(self.centers)
         self.edges = patch_graph_edges(self.centers, self.radii)
         m = len(self.centers)
@@ -182,8 +192,8 @@ class Cover:
         mask = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), QUERY_BLOCK):
             inc = self.incidence(points[lo:lo + QUERY_BLOCK])
-            rho = self.radii[inc.patch]
-            mask[lo + inc.point[inc.d2 < rho * rho]] = True
+            inside = _inside(inc.d2, self.radii[inc.patch])
+            mask[lo + inc.point[inside]] = True
         return mask
 
 
@@ -226,10 +236,9 @@ def shepard_terms(cover, inc):
     """The pairs with the point strictly inside the patch, their bumps
     kappa_l and the gradients of kappa_l with respect to the point."""
     rho = cover.radii[inc.patch]
-    dist = np.sqrt(inc.d2)
-    sel = dist < rho
+    sel = _inside(inc.d2, rho)
     inc, rho = inc.take(sel), rho[sel]
-    u = dist[sel] / rho
+    u = np.sqrt(inc.d2) / rho
     grad_k = (_kappa_prime_over_r(u) / rho**2)[:, None] * inc.diff
     return inc, kappa(u), grad_k
 
@@ -264,8 +273,6 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    if len(nodes) == 0:
-        raise ConfigError("cannot build a cover over an empty node set")
     if overlap <= 0:
         raise ConfigError("overlap parameter must be positive")
     radii = np.full(len(centers), _initial_radius(surface, spacing, overlap))
@@ -286,12 +293,10 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
         idx = np.asarray(sorted(node_tree.query_ball_point(c, rho)), dtype=int)
         if len(idx):
             diff = nodes[idx] - c
-            idx = idx[(diff * diff).sum(-1) < rho * rho]
+            idx = idx[_inside((diff * diff).sum(-1), rho)]
         members.append(idx)
 
     keep = [i for i, idx in enumerate(members) if len(idx)]
-    if not keep:
-        raise ConfigError("every patch is empty; no cover can be built")
     return Cover(centers=centers[keep], radii=radii[keep],
                  members=[members[i] for i in keep], nodes=nodes)
 

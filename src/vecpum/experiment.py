@@ -18,7 +18,7 @@ from . import geometry as geo
 from . import testbed
 from .cover import (assign_radii_and_inflate, centers_plane, centers_sphere,
                     spacing_from_q)
-from .errors import VecPumError
+from .errors import ConfigError, VecPumError
 from .kernels import RadialKernel
 from .pum import build_approximant
 
@@ -42,6 +42,8 @@ PROBLEM_DEFAULTS = {
 
 _EVAL_TAG = 0xE7A1
 _NODE_TAG = 0xDA7A
+_CUSTOM_ONLY = ("nodes_file", "values_file", "mode", "surface", "area")
+_SURFACE_COLUMNS = {"plane": 2, "sphere": 3, "r2": 2, "r3": 3}
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,10 @@ class RunConfig:
         # Built-in problems draw their node and evaluation sets from the
         # testbed generators; reject sizes they refuse before any is drawn.
         if self.problem != "custom":
+            given = [k for k in _CUSTOM_ONLY if getattr(self, k) is not None]
+            if given:
+                raise ValueError(f"{', '.join(given)} apply to custom "
+                                 f"problems only")
             if self.eval_n < testbed.MIN_NODES:
                 raise ValueError(f"eval_n must be at least "
                                  f"{testbed.MIN_NODES}")
@@ -261,20 +267,25 @@ def _custom_problem(config):
     nodes = testbed.load_points(config.nodes_file)
     values = testbed.load_points(config.values_file)
     if nodes.shape != values.shape:
-        raise ValueError("custom nodes and values shapes disagree")
+        raise ConfigError(f"custom nodes {nodes.shape} and values "
+                          f"{values.shape} differ in shape")
     surface_kind = config.surface or ("sphere" if nodes.shape[1] == 3
                                       else "r2")
+    if surface_kind not in _SURFACE_COLUMNS:
+        raise ConfigError(f"unknown surface {surface_kind!r}")
+    if nodes.shape[1] != _SURFACE_COLUMNS[surface_kind]:
+        raise ConfigError(f"surface {surface_kind!r} needs "
+                          f"{_SURFACE_COLUMNS[surface_kind]} columns of "
+                          f"samples, got {nodes.shape[1]}")
     if surface_kind == "plane":
         surface, mode, dim = geo.plane2d(), "div_surface", 2
         nodes = geo.embed_points(nodes)
         values = geo.embed_points(values)
     elif surface_kind == "sphere":
         surface, mode, dim = geo.sphere2(), "div_surface", 2
-    elif surface_kind in ("r2", "r3"):
-        d = 2 if surface_kind == "r2" else 3
-        surface, mode, dim = geo.euclidean(d), "curl_euclidean", d
     else:
-        raise ValueError(f"unknown surface {surface_kind!r}")
+        dim = nodes.shape[1]
+        surface, mode = geo.euclidean(dim), "curl_euclidean"
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
     if config.area is not None:

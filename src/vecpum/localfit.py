@@ -30,41 +30,36 @@ TANGENCY_TOL = 1e-10
 _ASSEMBLY_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Scattered vector samples: nodes (n, dim) and values (n, dim)."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if nodes.shape != values.shape:
-            raise ValueError("nodes and values must have matching shapes")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def validate(self, surface, mode):
-        if len(self.nodes) == 0:
-            raise ValueError("sample set is empty")
-        if not all(np.isfinite(v).all() for v in (self.nodes, self.values)):
-            raise ValueError("sample nodes and values must be finite")
-        if len(self.nodes) > 1:
-            dist, _ = cKDTree(self.nodes).query(self.nodes, k=2)
-            if dist[:, 1].min() == 0.0:
-                raise ValueError("sample nodes must be pairwise distinct")
-        if mode in ("div_surface", "curl_surface"):
-            normals = surface.normals(self.nodes)
-            scale = max(1.0, float(np.abs(self.values).max()))
-            off = np.abs((normals * self.values).sum(-1)).max()
-            if off > TANGENCY_TOL * scale:
-                raise ValueError(
-                    f"sample values are not tangent to the surface "
-                    f"(max normal component {off:.3e})")
+def check_samples(nodes, values, surface, mode):
+    """The samples as float arrays; ValueError unless the mode fits the
+    geometry and the samples are a non-empty, finite, same-shaped set of
+    distinct nodes whose values (surface modes) have no normal component
+    above ``TANGENCY_TOL * max(1, max|v|)`` over the whole set."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if (mode == "curl_euclidean") != (surface.kind == "euclidean"):
+        raise ValueError(f"mode {mode!r} does not fit {surface.kind} "
+                         f"geometry")
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    if nodes.shape != values.shape:
+        raise ValueError("nodes and values must have matching shapes")
+    if nodes.size == 0:
+        raise ValueError("sample set is empty")
+    if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
+        raise ValueError("sample nodes and values must be finite")
+    if len(nodes) > 1:
+        dist, _ = cKDTree(nodes).query(nodes, k=2)
+        if dist[:, 1].min() == 0.0:
+            raise ValueError("sample nodes must be pairwise distinct")
+    if mode != "curl_euclidean":
+        scale = max(1.0, float(np.abs(values).max()))
+        off = np.abs((surface.normals(nodes) * values).sum(-1)).max()
+        if off > TANGENCY_TOL * scale:
+            raise ValueError(
+                f"sample values are not tangent to the surface "
+                f"(max normal component {off:.3e})")
+    return nodes, values
 
 
 def _hessian_block(kernel, xi, xj):
@@ -207,21 +202,14 @@ def _solve_spd(a, rhs, patch_id):
     return sla.cho_solve(factor, rhs, check_finite=False)
 
 
-def fit_patch(samples, kernel, surface, mode, frames=None, patch_id=None):
-    """Solve the local interpolation system and package the result.
+def fit_patch(nodes, values, kernel, surface, mode, frames=None,
+              patch_id=None):
+    """Solve the local system on samples that passed ``check_samples``.
 
     ``frames`` overrides the surface's tangent frames (any orthonormal
     frame yields the same interpolant; only the coefficient parametrization
     changes).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "curl_euclidean" and surface.kind != "euclidean":
-        raise ValueError("curl_euclidean mode requires euclidean geometry")
-    if mode != "curl_euclidean" and surface.kind == "euclidean":
-        raise ValueError(f"mode {mode!r} requires a surface geometry")
-    samples.validate(surface, mode)
-    nodes, values = samples.nodes, samples.values
     n = len(nodes)
     alpha_beta = None
     if mode == "curl_euclidean":
@@ -254,10 +242,11 @@ def fit_patch(samples, kernel, surface, mode, frames=None, patch_id=None):
                     fit_residual=worst / scale if scale > 0 else worst)
 
 
-def fit_global(samples, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
+def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
     """One dense fit over all samples; the O(N^3) oracle the blended
     approximant is compared against.  Refuses node counts above ``guard``."""
-    if len(samples) > guard:
+    if len(nodes) > guard:
         raise GlobalFitSizeError(
-            f"global dense fit limited to {guard} nodes, got {len(samples)}")
-    return fit_patch(samples, kernel, surface, mode, patch_id="global")
+            f"global dense fit limited to {guard} nodes, got {len(nodes)}")
+    nodes, values = check_samples(nodes, values, surface, mode)
+    return fit_patch(nodes, values, kernel, surface, mode, patch_id="global")

@@ -30,7 +30,7 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import SampleSet, fit_patch
+from .localfit import check_samples, fit_patch
 
 
 @dataclass
@@ -142,8 +142,8 @@ class PumApproximant:
 def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     """Fit every patch, glue the potentials, and return the approximant.
 
-    ``values`` are the field samples at ``cover.nodes``.  Patches are fit
-    serially; threads are used for batch evaluation only.
+    ``values`` are the field samples at ``cover.nodes``, checked once.
+    Patches are fit serially; threads are used for batch evaluation only.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -152,8 +152,9 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     # which the per-patch systems reuse heap pages.  The block is dropped at
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
-    fits = [fit_patch(SampleSet(cover.nodes[idx], values[idx]),
-                      kernel, surface, mode, patch_id=l)
+    nodes, values = check_samples(cover.nodes, values, surface, mode)
+    fits = [fit_patch(nodes[idx], values[idx], kernel, surface, mode,
+                      patch_id=l)
             for l, idx in enumerate(cover.members)]
     graph = glue_mod.build_glue_graph(cover, surface)
     p, c = glue_mod.build_shift_system(graph, fits)

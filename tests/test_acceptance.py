@@ -15,7 +15,7 @@ from scipy.spatial import cKDTree
 from vecpum import cover, experiment, geometry, glue, testbed
 from vecpum.experiment import default_config, fit_rate, run_experiment
 from vecpum.kernels import RadialKernel
-from vecpum.localfit import (SampleSet, assemble_system, fit_global)
+from vecpum.localfit import assemble_system, fit_global
 from vecpum.pum import build_approximant
 
 SEED = 2024
@@ -155,7 +155,7 @@ def test_criterion_04_single_patch_matches_global():
     cov = cover.single_patch_cover(nodes, problem.surface, radius=4.0)
     approx, _, _ = build_approximant(cov, kernel, problem.surface,
                                      "div_surface", values)
-    oracle = fit_global(SampleSet(nodes, values), kernel, problem.surface,
+    oracle = fit_global(nodes, values, kernel, problem.surface,
                         "div_surface")
     pts = _interior_star_points(500, SEED + 2)
     pot_p, field_p = approx.batch_eval(pts)

@@ -252,6 +252,46 @@ def test_non_finite_parameters_rejected():
                 tiny_config(**{name: bad})
 
 
+@pytest.mark.parametrize("surface,columns,need", [
+    ("r3", 2, 3), ("plane", 3, 2), ("sphere", 2, 3), ("r2", 3, 2)])
+def test_cli_custom_columns_must_fit_surface(surface, columns, need,
+                                             tmp_path, capsys):
+    pts = np.random.default_rng(5).uniform(-1, 1, (300, columns))
+    testbed.save_points(pts, tmp_path / "n.txt")
+    testbed.save_points(pts, tmp_path / "v.txt")
+    code = cli.main(["--problem", "custom", "--surface", surface,
+                     "--nodes-file", str(tmp_path / "n.txt"),
+                     "--values-file", str(tmp_path / "v.txt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"surface {surface!r} needs {need} columns" in err
+    assert "Traceback" not in err
+
+
+def test_cli_custom_shapes_must_agree(tmp_path, capsys):
+    pts = np.random.default_rng(5).uniform(-1, 1, (300, 2))
+    testbed.save_points(pts, tmp_path / "n.txt")
+    testbed.save_points(pts[:299], tmp_path / "v.txt")
+    code = cli.main(["--problem", "custom", "--nodes-file",
+                     str(tmp_path / "n.txt"), "--values-file",
+                     str(tmp_path / "v.txt")])
+    assert code == 2
+    assert "differ in shape" in capsys.readouterr().err
+
+
+def test_custom_only_settings_rejected_for_built_in_problems(capsys,
+                                                             monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli.main(["--problem", "star2d", "--surface", "r3", "--mode",
+                     "curl_euclidean", "--area", "99", "--n", "200",
+                     "--trials", "1", "--eval-n", "200"]) == 2
+    assert runs == []
+    assert "custom problems only" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="surface"):
+        default_config("ball", surface="r3")
+
+
 def test_cli_custom_ignores_n_and_trials():
     args = cli.build_parser().parse_args([
         "--problem", "custom", "--nodes-file", "n.txt", "--values-file",

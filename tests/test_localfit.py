@@ -3,10 +3,12 @@ import pytest
 import sympy
 
 from vecpum import geometry
-from vecpum.errors import GlobalFitSizeError, PatchFitError
+from vecpum.cover import Cover
+from vecpum.errors import ConfigError, GlobalFitSizeError, PatchFitError
 from vecpum.kernels import RadialKernel
-from vecpum.localfit import (SampleSet, assemble_system, fit_global,
+from vecpum.localfit import (assemble_system, check_samples, fit_global,
                              fit_patch, phi_curl_block, phi_div_block)
+from vecpum.pum import build_approximant
 
 PLANE = geometry.plane2d()
 SPHERE = geometry.sphere2()
@@ -111,8 +113,8 @@ def test_phi_curl_block_euclidean():
 def test_fit_zero_samples_gives_zero_coefficients():
     rng = np.random.default_rng(1)
     pts, _ = random_plane_patch(rng, 8)
-    samples = SampleSet(pts, np.zeros_like(pts))
-    fit = fit_patch(samples, RadialKernel("imq", 2.0), PLANE, "div_surface")
+    fit = fit_patch(pts, np.zeros_like(pts), RadialKernel("imq", 2.0), PLANE,
+                    "div_surface")
     assert np.abs(fit.coef_vectors).max() == 0.0
     assert fit.fit_residual == 0.0
 
@@ -132,9 +134,8 @@ def test_small_system_brute_force_oracle(n):
             dx, dy = nodes2[i] - nodes2[j]
             a[2 * i:2 * i + 2, 2 * j:2 * j + 2] = _phi_div_2d(eps, dx, dy)
     expect = np.linalg.solve(a, vals2.reshape(-1))
-    fit = fit_patch(SampleSet(geometry.embed_points(nodes2),
-                              geometry.embed_points(vals2)),
-                    k, PLANE, "div_surface")
+    fit = fit_patch(geometry.embed_points(nodes2),
+                    geometry.embed_points(vals2), k, PLANE, "div_surface")
     got = fit.alpha_beta.reshape(-1)
     assert np.abs(got - expect).max() < 1e-10
 
@@ -175,7 +176,7 @@ def interpolation_case(case, rng):
 def test_interpolation_reproduces_samples(case):
     rng = np.random.default_rng(20 + INTERPOLATION_CASES.index(case))
     pts, vals, surface, mode, k = interpolation_case(case, rng)
-    fit = fit_patch(SampleSet(pts, vals), k, surface, mode)
+    fit = fit_patch(pts, vals, k, surface, mode)
     assert fit.fit_residual <= 1e-8
     if mode != "curl_euclidean":
         # coefficient vectors stay tangent at their nodes
@@ -196,7 +197,7 @@ def test_evaluator_reproduces_samples(case):
     # by the blend must reproduce the samples to the same accuracy.
     rng = np.random.default_rng(40 + INTERPOLATION_CASES.index(case))
     pts, vals, surface, mode, k = interpolation_case(case, rng)
-    fit = fit_patch(SampleSet(pts, vals), k, surface, mode)
+    fit = fit_patch(pts, vals, k, surface, mode)
     miss = fit.field_at(pts) - vals
     rel = (np.sqrt((miss * miss).sum(-1)).max() /
            np.sqrt((vals * vals).sum(-1)).max())
@@ -231,7 +232,7 @@ def test_single_node_unit_coefficient_gives_kernel_column():
     k = RadialKernel("imq", 2.0)
     node = np.array([[0.2, -0.1, 0.0]])
     val = np.array([[0.7, 0.4, 0.0]])
-    fit = fit_patch(SampleSet(node, val), k, PLANE, "div_surface")
+    fit = fit_patch(node, val, k, PLANE, "div_surface")
     rng = np.random.default_rng(9)
     for _ in range(5):
         x = geometry.embed_points(rng.uniform(-1, 1, size=(1, 2)))[0]
@@ -244,7 +245,7 @@ def test_plane_fit_matches_truncated_evaluation():
     k = RadialKernel("imq", eps)
     rng = np.random.default_rng(10)
     pts, vals = random_plane_patch(rng, 25)
-    fit = fit_patch(SampleSet(pts, vals), k, PLANE, "div_surface")
+    fit = fit_patch(pts, vals, k, PLANE, "div_surface")
     fxx, fyy, fxy = _sympy_imq_second_derivs(eps)
     probes = rng.uniform(-1, 1, size=(100, 2))
     for p in probes:
@@ -276,7 +277,7 @@ def test_potential_consistency_div_modes():
                           (SPHERE, random_sphere_patch)]:
         pts, vals = make(rng, 30)
         k = RadialKernel("matern4", 4.0)
-        fit = fit_patch(SampleSet(pts, vals), k, surface, "div_surface")
+        fit = fit_patch(pts, vals, k, surface, "div_surface")
         probes = make(rng, 20)[0]
         step = 1e-5
         fld = fit.field_at(probes)
@@ -296,7 +297,7 @@ def test_potential_consistency_curl_euclidean():
     rng = np.random.default_rng(14)
     pts = rng.uniform(-1, 1, size=(30, 3))
     vals = rng.normal(size=(30, 3))
-    fit = fit_patch(SampleSet(pts, vals), RadialKernel("imq", 2.0), R3,
+    fit = fit_patch(pts, vals, RadialKernel("imq", 2.0), R3,
                     "curl_euclidean")
     probes = rng.uniform(-1, 1, size=(20, 3))
     fld = fit.field_at(probes)
@@ -316,7 +317,7 @@ def test_potential_consistency_curl_euclidean():
 def test_zero_coefficients_zero_potential():
     rng = np.random.default_rng(15)
     pts, _ = random_plane_patch(rng, 6)
-    fit = fit_patch(SampleSet(pts, np.zeros_like(pts)),
+    fit = fit_patch(pts, np.zeros_like(pts),
                     RadialKernel("imq", 1.0), PLANE, "div_surface")
     assert np.abs(fit.potential_at(pts)).max() == 0.0
 
@@ -325,12 +326,12 @@ def test_frame_independence_on_sphere():
     rng = np.random.default_rng(16)
     pts, vals = random_sphere_patch(rng, 35)
     k = RadialKernel("matern4", 7.5)
-    fit_a = fit_patch(SampleSet(pts, vals), k, SPHERE, "div_surface")
+    fit_a = fit_patch(pts, vals, k, SPHERE, "div_surface")
     d, e, n = SPHERE.tangent_frames(pts)
     theta = rng.uniform(0, 2 * np.pi, size=len(pts))[:, None]
     d2 = np.cos(theta) * d + np.sin(theta) * e
     e2 = -np.sin(theta) * d + np.cos(theta) * e
-    fit_b = fit_patch(SampleSet(pts, vals), k, SPHERE, "div_surface",
+    fit_b = fit_patch(pts, vals, k, SPHERE, "div_surface",
                       frames=(d2, e2, n))
     probes = random_sphere_patch(rng, 40)[0]
     fa = fit_a.field_at(probes)
@@ -345,7 +346,7 @@ def test_frame_independence_on_sphere():
 def test_divergence_free_by_finite_differences():
     rng = np.random.default_rng(17)
     pts, vals = random_sphere_patch(rng, 30)
-    fit = fit_patch(SampleSet(pts, vals), RadialKernel("imq", 3.0), SPHERE,
+    fit = fit_patch(pts, vals, RadialKernel("imq", 3.0), SPHERE,
                     "div_surface")
     probes = random_sphere_patch(rng, 15)[0]
     scale = np.sqrt((fit.field_at(probes) ** 2).sum(-1)).max()
@@ -358,7 +359,7 @@ def test_curl_free_by_finite_differences():
     rng = np.random.default_rng(18)
     pts = rng.uniform(-1, 1, size=(30, 3))
     vals = rng.normal(size=(30, 3))
-    fit = fit_patch(SampleSet(pts, vals), RadialKernel("imq", 2.0), R3,
+    fit = fit_patch(pts, vals, RadialKernel("imq", 2.0), R3,
                     "curl_euclidean")
     probes = rng.uniform(-0.8, 0.8, size=(15, 3))
     scale = np.sqrt((fit.field_at(probes) ** 2).sum(-1)).max()
@@ -378,43 +379,73 @@ def test_curl_free_by_finite_differences():
 def test_fit_global_equivalence_and_guard():
     rng = np.random.default_rng(19)
     pts, vals = random_plane_patch(rng, 30)
-    samples = SampleSet(pts, vals)
     k = RadialKernel("imq", 3.0)
-    a = fit_patch(samples, k, PLANE, "div_surface")
-    b = fit_global(samples, k, PLANE, "div_surface")
+    a = fit_patch(pts, vals, k, PLANE, "div_surface")
+    b = fit_global(pts, vals, k, PLANE, "div_surface")
     assert np.array_equal(a.coef_vectors, b.coef_vectors)
-    big = SampleSet(np.zeros((5001, 3)) + np.arange(5001)[:, None],
-                    np.zeros((5001, 3)))
+    big = (np.zeros((5001, 3)) + np.arange(5001)[:, None],
+           np.zeros((5001, 3)))
     with pytest.raises(GlobalFitSizeError):
-        fit_global(big, k, PLANE, "div_surface")
+        fit_global(*big, k, PLANE, "div_surface")
+
+
+def assert_samples_rejected(pts, vals, surface, mode, match=None):
+    """check_samples, fit_global and build_approximant (over one patch
+    holding every node) all raise ValueError for these samples."""
+    k = RadialKernel("imq", 1.0)
+    cov = Cover(centers=np.zeros((1, pts.shape[1])), radii=np.array([1e3]),
+                members=[np.arange(len(pts))], nodes=pts)
+    for call in (lambda: check_samples(pts, vals, surface, mode),
+                 lambda: fit_global(pts, vals, k, surface, mode),
+                 lambda: build_approximant(cov, k, surface, mode, vals)):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_sampleset_validation():
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        fit_patch(SampleSet(pts, np.zeros_like(pts)),
-                  RadialKernel("imq", 1.0), PLANE, "div_surface")
+    assert_samples_rejected(pts, np.zeros_like(pts), PLANE, "div_surface",
+                            match="distinct")
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     vals = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # not tangent
-    with pytest.raises(ValueError):
-        fit_patch(SampleSet(pts, vals), RadialKernel("imq", 1.0), PLANE,
-                  "div_surface")
-    with pytest.raises(ValueError):
-        SampleSet(np.zeros((3, 2)), np.zeros((4, 2)))
+    assert_samples_rejected(pts, vals, PLANE, "div_surface", match="tangent")
+    assert_samples_rejected(np.zeros((3, 2)), np.zeros((4, 2)),
+                            geometry.euclidean(2), "curl_euclidean",
+                            match="shapes")
+    empty = np.zeros((0, 3))
+    with pytest.raises(ValueError, match="empty"):
+        check_samples(empty, empty, PLANE, "div_surface")
+    with pytest.raises(ValueError, match="empty"):
+        fit_global(empty, empty, RadialKernel("imq", 1.0), PLANE,
+                   "div_surface")
+    with pytest.raises(ConfigError, match="member"):
+        Cover(centers=np.zeros((1, 3)), radii=np.array([1.0]),
+              members=[np.arange(0)], nodes=empty)
+
+
+def test_tangency_tolerance_spans_the_whole_set():
+    # 2e-10 off the plane is within 1e-10 * max|v| of the set (max|v| = 3),
+    # though not within 1e-10 of the first node's own value.
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    vals = np.array([[0.0, 0.5, 2e-10], [3.0, 0.0, 0.0]])
+    assert np.array_equal(check_samples(pts, vals, PLANE, "div_surface")[1],
+                          vals)
+    vals[1, 0] = 1.0
+    with pytest.raises(ValueError, match="tangent"):
+        check_samples(pts, vals, PLANE, "div_surface")
 
 
 def test_non_finite_samples_rejected():
-    k = RadialKernel("imq", 1.0)
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     vals = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     bad_vals = vals.copy()
     bad_vals[1, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        fit_patch(SampleSet(pts, bad_vals), k, PLANE, "div_surface")
+    assert_samples_rejected(pts, bad_vals, PLANE, "div_surface",
+                            match="finite")
     bad_pts = pts.copy()
     bad_pts[2, 1] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        fit_patch(SampleSet(bad_pts, vals), k, R3, "curl_euclidean")
+    assert_samples_rejected(bad_pts, vals, R3, "curl_euclidean",
+                            match="finite")
 
 
 def test_factorization_failure_raises_patch_error():
@@ -422,7 +453,7 @@ def test_factorization_failure_raises_patch_error():
     pts = np.array([[0.0, 0.0, 0.0], [1e-150, 0.0, 0.0]])
     vals = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(PatchFitError) as err:
-        fit_patch(SampleSet(pts, vals), RadialKernel("imq", 1.0), PLANE,
+        fit_patch(pts, vals, RadialKernel("imq", 1.0), PLANE,
                   "div_surface", patch_id=17)
     assert err.value.patch_id == 17
     assert err.value.cond > 1e12
@@ -431,9 +462,8 @@ def test_factorization_failure_raises_patch_error():
 def test_mode_surface_mismatch_rejected():
     pts = np.array([[0.0, 0.0, 0.0]])
     vals = np.array([[1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        fit_patch(SampleSet(pts, vals), RadialKernel("imq", 1.0), R3,
-                  "div_surface")
-    with pytest.raises(ValueError):
-        fit_patch(SampleSet(pts, vals), RadialKernel("imq", 1.0), PLANE,
-                  "curl_euclidean")
+    assert_samples_rejected(pts, vals, R3, "div_surface",
+                            match="does not fit")
+    assert_samples_rejected(pts, vals, PLANE, "curl_euclidean",
+                            match="does not fit")
+    assert_samples_rejected(pts, vals, PLANE, "div_free", match="unknown")

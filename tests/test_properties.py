@@ -47,7 +47,7 @@ def brute_force_covers(cover, points):
     mask = np.zeros(len(points), dtype=bool)
     for c, rho in zip(cover.centers, cover.radii):
         diff = points - c
-        mask |= (diff * diff).sum(-1) < rho * rho
+        mask |= np.sqrt((diff * diff).sum(-1)) < rho
     return mask
 
 
