@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from .errors import ConfigError, VecPumError
-from .experiment import (PROBLEM_DEFAULTS, RunConfig, emit_csv, emit_summary,
-                         run_experiment)
+from .experiment import default_config, emit_csv, emit_summary, run_experiment
+from .geometry import MODES
 
 
 def build_parser():
@@ -32,8 +32,7 @@ def build_parser():
     parser.add_argument("--eval-n", type=int, default=20000,
                         help="evaluation-set size")
     parser.add_argument("--out", help="CSV output path")
-    parser.add_argument("--mode", choices=["div_surface", "curl_surface",
-                                           "curl_euclidean"],
+    parser.add_argument("--mode", choices=MODES,
                         help="custom: interpolation mode override")
     parser.add_argument("--surface", choices=["plane", "sphere", "r2", "r3"],
                         help="custom: geometry of the samples")
@@ -45,22 +44,22 @@ def build_parser():
 
 
 def config_from_args(args):
-    given = dict(kernel=args.kernel, eps=args.eps, q=args.q, delta=args.delta,
-                 n_values=tuple(args.n) if args.n else None,
-                 trials=args.trials)
+    given = dict(kernel=args.kernel, eps=args.eps, q=args.q, delta=args.delta)
     if args.problem == "custom":
         if not args.nodes_file or not args.values_file:
             raise VecPumError("custom problems need --nodes-file and "
                               "--values-file")
-        # A custom run is one fit of the supplied samples.
-        given.update(n_values=None, trials=None)
-    defaults = PROBLEM_DEFAULTS[args.problem]
-    return RunConfig(
-        problem=args.problem, gamma=args.gamma, seed=args.seed,
-        eval_n=args.eval_n, nodes_file=args.nodes_file,
-        values_file=args.values_file, mode=args.mode, surface=args.surface,
-        area=args.area, workers=args.workers,
-        **{k: defaults[k] if v is None else v for k, v in given.items()})
+    else:
+        # A custom run is one fit of the supplied samples, so --n and
+        # --trials apply to the built-in problems only.
+        given.update(n_values=tuple(args.n) if args.n else None,
+                     trials=args.trials)
+    return default_config(
+        args.problem, gamma=args.gamma, seed=args.seed, eval_n=args.eval_n,
+        nodes_file=args.nodes_file, values_file=args.values_file,
+        mode=args.mode, surface=args.surface, area=args.area,
+        workers=args.workers,
+        **{k: v for k, v in given.items() if v is not None})
 
 
 def main(argv=None):

@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, CoverConnectivityError, CoverageError
+from .geometry import finite_points
 
 # Factor by which an inflated radius overshoots the node distance so that
 # strict-inequality membership tests succeed.
@@ -212,26 +213,6 @@ class Incidence:
                          diff=self.diff[sel], d2=self.d2[sel])
 
 
-def finite_points(points, dim):
-    """The points as an (m, dim) float array, (0, dim) for empty input.
-
-    Raises ValueError naming the shape of points without ``dim`` columns,
-    or naming the rows of non-finite points.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.shape == (0,):
-        return np.zeros((0, dim))
-    points = np.atleast_2d(points)
-    if points.ndim != 2 or points.shape[1] != dim:
-        raise ValueError(f"points of shape {points.shape} do not have "
-                         f"{dim} columns")
-    bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
-    if len(bad):
-        raise ValueError(f"{len(bad)} evaluation points are not finite "
-                         f"(rows {bad[:10].tolist()})")
-    return points
-
-
 def shepard_terms(cover, inc):
     """The pairs with the point strictly inside the patch, their bumps
     kappa_l and the gradients of kappa_l with respect to the point."""
@@ -244,7 +225,7 @@ def shepard_terms(cover, inc):
 
 
 def _initial_radius(surface, spacing, overlap):
-    if surface.kind == "euclidean" and surface.dim == 3:
+    if surface.intrinsic_dim == 3:
         return (1.0 + overlap) * np.sqrt(3.0) * spacing / 2.0
     return (1.0 + overlap) * spacing / 2.0
 
@@ -281,11 +262,8 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     dist, nearest = center_tree.query(nodes, k=1)
     # Initial radii are uniform, so a node is covered iff its nearest center
     # is strictly within the initial radius.
-    for j in np.nonzero(dist >= radii[nearest])[0]:
-        target = nearest[j]
-        need = dist[j] * (1.0 + INFLATION_MARGIN)
-        if radii[target] < need:
-            radii[target] = need
+    miss = dist >= radii[nearest]
+    np.maximum.at(radii, nearest[miss], dist[miss] * (1.0 + INFLATION_MARGIN))
 
     node_tree = cKDTree(nodes)
     members = []
@@ -305,9 +283,7 @@ def single_patch_cover(nodes, surface, radius=None):
     """A one-patch cover enclosing all nodes (testing aid for the global
     interpolant equivalence)."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    center = nodes.mean(axis=0)
-    if surface.kind == "sphere":
-        center = surface.project(center)
+    center = surface.project(nodes.mean(axis=0))
     dist = np.sqrt(((nodes - center) ** 2).sum(-1)).max()
     if radius is None:
         radius = 2.5 * dist + 1e-3

@@ -43,7 +43,8 @@ PROBLEM_DEFAULTS = {
 _EVAL_TAG = 0xE7A1
 _NODE_TAG = 0xDA7A
 _CUSTOM_ONLY = ("nodes_file", "values_file", "mode", "surface", "area")
-_SURFACE_COLUMNS = {"plane": 2, "sphere": 3, "r2": 2, "r3": 3}
+_SURFACES = {"plane": geo.plane2d(), "sphere": geo.sphere2(),
+             "r2": geo.euclidean(2), "r3": geo.euclidean(3)}
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,7 @@ class RunResult:
     records: list = field(default_factory=list)
 
     def n_levels(self):
-        seen = []
-        for rec in self.records:
-            if rec.n_requested not in seen:
-                seen.append(rec.n_requested)
-        return seen
+        return list(dict.fromkeys(rec.n_requested for rec in self.records))
 
     def level_mean(self, attr):
         """Mean of a record attribute per requested-N level, in level
@@ -176,7 +173,7 @@ def fit_and_glue(problem, nodes, values, config):
     """Cover, per-patch fits, and potential shifts for one node set."""
     kernel = RadialKernel(config.kernel, config.eps)
     h = spacing_from_q(config.q, problem.area, len(nodes),
-                       problem.intrinsic_dim)
+                       problem.surface.intrinsic_dim)
     centers = problem.make_centers(h)
     cov = assign_radii_and_inflate(centers, nodes, config.delta,
                                    problem.surface, h)
@@ -271,21 +268,27 @@ def _custom_problem(config):
                           f"{values.shape} differ in shape")
     surface_kind = config.surface or ("sphere" if nodes.shape[1] == 3
                                       else "r2")
-    if surface_kind not in _SURFACE_COLUMNS:
+    if surface_kind not in _SURFACES:
         raise ConfigError(f"unknown surface {surface_kind!r}")
-    if nodes.shape[1] != _SURFACE_COLUMNS[surface_kind]:
-        raise ConfigError(f"surface {surface_kind!r} needs "
-                          f"{_SURFACE_COLUMNS[surface_kind]} columns of "
-                          f"samples, got {nodes.shape[1]}")
+    surface = _SURFACES[surface_kind]
+    # Plane files hold in-plane coordinates, embedded here at z = 0.
+    columns = (surface.intrinsic_dim if surface_kind == "plane"
+               else surface.dim)
+    if nodes.shape[1] != columns:
+        raise ConfigError(f"surface {surface_kind!r} needs {columns} columns "
+                          f"of samples, got {nodes.shape[1]}")
     if surface_kind == "plane":
-        surface, mode, dim = geo.plane2d(), "div_surface", 2
         nodes = geo.embed_points(nodes)
         values = geo.embed_points(values)
-    elif surface_kind == "sphere":
-        surface, mode, dim = geo.sphere2(), "div_surface", 2
-    else:
-        dim = nodes.shape[1]
-        surface, mode = geo.euclidean(dim), "curl_euclidean"
+    mode = config.mode or surface.modes[0]
+    if mode not in surface.modes:
+        raise ConfigError(f"mode {mode!r} does not fit surface "
+                          f"{surface_kind!r}")
+    try:
+        surface.check(nodes)
+    except ValueError as exc:
+        raise ConfigError(f"custom nodes do not fit surface "
+                          f"{surface_kind!r}: {exc}") from exc
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)
     if config.area is not None:
@@ -293,11 +296,11 @@ def _custom_problem(config):
     elif surface_kind == "sphere":
         area = 4.0 * np.pi
     else:
-        area = float(np.prod(np.maximum(hi - lo, 1e-12)[:dim]))
+        area = float(np.prod(np.maximum(hi - lo, 1e-12)
+                             [:surface.intrinsic_dim]))
     problem = testbed.TestProblem(
-        name="custom", surface=surface, mode=config.mode or mode, area=area,
-        intrinsic_dim=dim, potential=None, field=None, potential_sign=1.0,
-        nodes=None,
+        name="custom", surface=surface, mode=mode, area=area,
+        potential=None, field=None, potential_sign=1.0, nodes=None,
         make_centers=functools.partial(_box_centers, surface_kind, lo, hi))
     return problem, nodes, values
 
@@ -387,7 +390,7 @@ def emit_summary(result):
             lines.append(f"  algebraic rate vs sqrt(N): slope={slope:.3f} "
                          f"(R^2={r2:.4f})")
         else:
-            dim = 3 if cfg.problem == "ball" else 2
+            dim = testbed.PROBLEMS[cfg.problem]().surface.intrinsic_dim
             c, r2 = fit_rate(ns, errs, "superalgebraic", dim=dim)
             lines.append(f"  super-algebraic fit: C={c:.4f} (R^2={r2:.4f})")
     text = "\n".join(lines)

@@ -12,36 +12,80 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPHERE_NORM_TOL = 1e-9
+# Largest offset from the sphere (| |x| - 1 |) or from the plane (|z|) of a
+# point that counts as on the surface.
+SURFACE_TOL = 1e-9
+
+MODES = ("div_surface", "curl_surface", "curl_euclidean")
 
 PLANE_D = np.array([1.0, 0.0, 0.0])
 PLANE_E = np.array([0.0, 1.0, 0.0])
 PLANE_N = np.array([0.0, 0.0, 1.0])
 
 
+def finite_points(points, dim):
+    """The points as an (m, dim) float array, (0, dim) for empty input.
+
+    Raises ValueError naming the shape of points without ``dim`` columns,
+    or naming the rows of non-finite points.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.shape == (0,):
+        return np.zeros((0, dim))
+    points = np.atleast_2d(points)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points of shape {points.shape} do not have "
+                         f"{dim} columns")
+    bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
+    if len(bad):
+        raise ValueError(f"{len(bad)} points are not finite "
+                         f"(rows {bad[:10].tolist()})")
+    return points
+
+
 @dataclass(frozen=True)
 class Surface:
     """Geometry selector: ``plane`` and ``sphere`` live in R^3, ``euclidean``
     in R^d with d in {2, 3}.  ``dim`` is the coordinate dimension points
-    carry (3 for the embedded surfaces)."""
+    carry (3 for the embedded surfaces), ``intrinsic_dim`` the dimension of
+    the geometry itself, and ``modes`` the interpolation modes it admits,
+    default first."""
 
     kind: str
     dim: int
 
+    @property
+    def intrinsic_dim(self):
+        return self.dim if self.kind == "euclidean" else 2
+
+    @property
+    def modes(self):
+        return (("curl_euclidean",) if self.kind == "euclidean"
+                else ("div_surface", "curl_surface"))
+
+    def check(self, points):
+        """``finite_points(points, dim)``, and ValueError naming the worst
+        offset of points more than ``SURFACE_TOL`` off the sphere or plane."""
+        points = finite_points(points, self.dim)
+        if self.kind == "sphere":
+            off = np.abs(np.sqrt((points * points).sum(-1)) - 1.0)
+        elif self.kind == "plane":
+            off = np.abs(points[:, 2])
+        else:
+            return points
+        if np.any(off > SURFACE_TOL):
+            raise ValueError(f"points lie off the {self.kind} by up to "
+                             f"{off.max():.3e} (tolerance {SURFACE_TOL:g})")
+        return points
+
     def normals(self, points):
         """Unit normals at on-surface points, shape (m, 3)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.kind == "euclidean":
+            raise ValueError("euclidean geometry has no surface normals")
+        points = self.check(points)
         if self.kind == "plane":
             return np.broadcast_to(PLANE_N, points.shape).copy()
-        if self.kind == "sphere":
-            norms = np.sqrt((points * points).sum(-1))
-            if np.any(np.abs(norms - 1.0) > SPHERE_NORM_TOL):
-                worst = float(np.abs(norms - 1.0).max())
-                raise ValueError(
-                    f"point off the unit sphere by {worst:.3e} "
-                    f"(tolerance {SPHERE_NORM_TOL:g})")
-            return points
-        raise ValueError("euclidean geometry has no surface normals")
+        return points
 
     def tangent_frames(self, points):
         """Orthonormal frames (D, E, N) at on-surface points.
@@ -50,19 +94,14 @@ class Surface:
         the sphere, e = normalize(a x n) with a = (0,0,1) away from the
         poles and a = (1,0,0) when |n_z| > 0.9, then d = n x e.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        n = self.normals(points)
         if self.kind == "plane":
-            m = points.shape[0]
-            return (np.tile(PLANE_D, (m, 1)), np.tile(PLANE_E, (m, 1)),
-                    np.tile(PLANE_N, (m, 1)))
-        if self.kind == "sphere":
-            n = self.normals(points)
-            a = np.where(np.abs(n[:, 2:3]) > 0.9, PLANE_D, PLANE_N)
-            e = np.cross(a, n)
-            e /= np.sqrt((e * e).sum(-1))[:, None]
-            d = np.cross(n, e)
-            return d, e, n
-        raise ValueError("euclidean geometry has no tangent frames")
+            m = len(n)
+            return np.tile(PLANE_D, (m, 1)), np.tile(PLANE_E, (m, 1)), n
+        a = np.where(np.abs(n[:, 2:3]) > 0.9, PLANE_D, PLANE_N)
+        e = np.cross(a, n)
+        e /= np.sqrt((e * e).sum(-1))[:, None]
+        return np.cross(n, e), e, n
 
     def project(self, points):
         """Pull points back onto the surface (used for glue points)."""

@@ -23,31 +23,30 @@ from . import geometry
 from .errors import GlobalFitSizeError, PatchFitError
 from .kernels import RadialKernel
 
-MODES = ("div_surface", "curl_surface", "curl_euclidean")
-
 GLOBAL_FIT_GUARD = 5000
 TANGENCY_TOL = 1e-10
 _ASSEMBLY_BLOCK = 256
 
 
 def check_samples(nodes, values, surface, mode):
-    """The samples as float arrays; ValueError unless the mode fits the
-    geometry and the samples are a non-empty, finite, same-shaped set of
-    distinct nodes whose values (surface modes) have no normal component
-    above ``TANGENCY_TOL * max(1, max|v|)`` over the whole set."""
-    if mode not in MODES:
+    """The samples as float arrays; ValueError unless the mode is one of
+    ``surface.modes``, the nodes pass ``surface.check``, and the samples
+    are a non-empty, finite, same-shaped set of distinct nodes whose values
+    (surface modes) have no normal component above
+    ``TANGENCY_TOL * max(1, max|v|)`` over the whole set."""
+    if mode not in geometry.MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if (mode == "curl_euclidean") != (surface.kind == "euclidean"):
+    if mode not in surface.modes:
         raise ValueError(f"mode {mode!r} does not fit {surface.kind} "
                          f"geometry")
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    nodes = surface.check(nodes)
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if nodes.shape != values.shape:
-        raise ValueError("nodes and values must have matching shapes")
     if nodes.size == 0:
         raise ValueError("sample set is empty")
-    if not (np.isfinite(nodes).all() and np.isfinite(values).all()):
-        raise ValueError("sample nodes and values must be finite")
+    if nodes.shape != values.shape:
+        raise ValueError("nodes and values must have matching shapes")
+    if not np.isfinite(values).all():
+        raise ValueError("sample values must be finite")
     if len(nodes) > 1:
         dist, _ = cKDTree(nodes).query(nodes, k=2)
         if dist[:, 1].min() == 0.0:
@@ -71,8 +70,8 @@ def _hessian_block(kernel, xi, xj):
 def phi_div_block(kernel, surface, xi, xj):
     """The 3x3 div-free matrix kernel Q_xi (F I + S rr^T) Q_xj."""
     h = _hessian_block(kernel, xi, xj)
-    qi = geometry.q_matrix(surface.normals(np.asarray(xi)[None, :])[0])
-    qj = geometry.q_matrix(surface.normals(np.asarray(xj)[None, :])[0])
+    qi = geometry.q_matrix(surface.normals(xi)[0])
+    qj = geometry.q_matrix(surface.normals(xj)[0])
     return qi @ h @ qj
 
 
@@ -81,8 +80,8 @@ def phi_curl_block(kernel, surface, xi, xj):
     h = _hessian_block(kernel, xi, xj)
     if surface.kind == "euclidean":
         return -h
-    pi = geometry.p_matrix(surface.normals(np.asarray(xi)[None, :])[0])
-    pj = geometry.p_matrix(surface.normals(np.asarray(xj)[None, :])[0])
+    pi = geometry.p_matrix(surface.normals(xi)[0])
+    pj = geometry.p_matrix(surface.normals(xj)[0])
     return -(pi @ h @ pj)
 
 

@@ -49,16 +49,6 @@ class PumApproximant:
             raise ValueError("cover, fits, and shifts disagree on the "
                              "number of patches")
 
-    def _check_on_surface(self, points):
-        if self.surface.kind == "sphere":
-            norms = np.sqrt((points * points).sum(-1))
-            if np.any(np.abs(norms - 1.0) > geometry.SPHERE_NORM_TOL):
-                raise ValueError("evaluation points must lie on the unit "
-                                 "sphere")
-        elif self.surface.kind == "plane":
-            if np.any(np.abs(points[:, 2]) > geometry.SPHERE_NORM_TOL):
-                raise ValueError("plane evaluation points must have z = 0")
-
     def _accumulate(self, points):
         """Per-point sums of kappa, grad kappa, kappa*raw field,
         kappa*shifted potential and shifted potential*grad kappa."""
@@ -89,22 +79,19 @@ class PumApproximant:
 
         ``workers`` > 1 splits the points across threads; per-point results
         are independent, so the output is identical to the serial path and
-        keeps the input ordering.  Raises ValueError for ``workers`` < 1,
-        for points without the cover's column count and naming non-finite
-        points, and CoverageError listing the indices of uncovered points.
+        keeps the input ordering.  Raises ValueError for ``workers`` < 1
+        and for points that fail ``Surface.check``, and CoverageError
+        listing the indices of uncovered points.
         """
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        points = cover_mod.finite_points(points, self.cover.centers.shape[1])
-        if points.shape[0] == 0:
-            dim = points.shape[1]
-            return np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim))
-        self._check_on_surface(points)
+        points = self.surface.check(points)
         # Blocks bound the pair arrays of one incidence query; with threads,
-        # every worker gets the same number of blocks.
+        # every worker gets the same number of blocks.  No points make one
+        # empty block.
         n_blocks = -(-len(points) // cover_mod.QUERY_BLOCK)
         n_blocks = -(-n_blocks // workers) * workers
-        blocks = np.array_split(points, min(n_blocks, len(points)))
+        blocks = np.array_split(points, max(1, min(n_blocks, len(points))))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(self._accumulate, blocks))
@@ -136,7 +123,8 @@ class PumApproximant:
         return pot, field
 
     def covered_mask(self, points):
-        return self.cover.covers(points)
+        """Which points lie in some patch, after ``Surface.check``."""
+        return self.cover.covers(self.surface.check(points))
 
 
 def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):

@@ -119,10 +119,7 @@ def grad_psi2(points):
 def u2(points):
     """Div-free sphere field: surface curl x cross grad(psi2), tangent by
     construction."""
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    norms = np.sqrt((p * p).sum(-1))
-    if np.any(np.abs(norms - 1.0) > geometry.SPHERE_NORM_TOL):
-        raise ValueError("u2 requires points on the unit sphere")
+    p = geometry.sphere2().check(points)
     return np.cross(p, grad_psi2(p))
 
 
@@ -315,7 +312,6 @@ class TestProblem:
     surface: geometry.Surface
     mode: str
     area: float
-    intrinsic_dim: int
     potential: callable
     field: callable
     potential_sign: float
@@ -338,14 +334,14 @@ def star_problem():
             cover.centers_plane(STAR_BBOX, inside_star, h))
 
     return TestProblem(name="star2d", surface=geometry.plane2d(),
-                       mode="div_surface", area=6.0, intrinsic_dim=2,
-                       potential=pot3, field=field3, potential_sign=1.0,
-                       nodes=nodes3, make_centers=centers)
+                       mode="div_surface", area=6.0, potential=pot3,
+                       field=field3, potential_sign=1.0, nodes=nodes3,
+                       make_centers=centers)
 
 
 def sphere_problem():
     return TestProblem(name="sphere", surface=geometry.sphere2(),
-                       mode="div_surface", area=4.0 * np.pi, intrinsic_dim=2,
+                       mode="div_surface", area=4.0 * np.pi,
                        potential=psi2, field=u2, potential_sign=1.0,
                        nodes=nodes_sphere, make_centers=cover.centers_sphere)
 
@@ -353,9 +349,8 @@ def sphere_problem():
 def ball_problem():
     return TestProblem(name="ball", surface=geometry.euclidean(3),
                        mode="curl_euclidean", area=4.0 * np.pi / 3.0,
-                       intrinsic_dim=3, potential=psi3, field=u3,
-                       potential_sign=-1.0, nodes=nodes_ball,
-                       make_centers=cover.centers_ball)
+                       potential=psi3, field=u3, potential_sign=-1.0,
+                       nodes=nodes_ball, make_centers=cover.centers_ball)
 
 
 PROBLEMS = {
@@ -367,8 +362,7 @@ PROBLEMS = {
 
 def load_points(path):
     """Read whitespace-separated points, one per line."""
-    pts = np.loadtxt(path, ndmin=2, dtype=float)
-    return pts
+    return np.loadtxt(path, ndmin=2, dtype=float)
 
 
 def save_points(points, path):

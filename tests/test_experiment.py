@@ -268,6 +268,34 @@ def test_cli_custom_columns_must_fit_surface(surface, columns, need,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("surface,mode,scale", [
+    ("plane", "curl_euclidean", 1.0), ("r2", "div_surface", 1.0),
+    ("sphere", None, 1.01)])
+def test_cli_custom_samples_must_fit_surface(surface, mode, scale, tmp_path,
+                                             capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(experiment, "build_approximant",
+                        lambda *args, **kw: builds.append(args))
+    if surface == "sphere":
+        nodes = testbed.nodes_sphere(300, 2)
+        values = testbed.u2(nodes)
+    else:
+        nodes = testbed.nodes_star(300, 2)
+        values = testbed.u1(nodes)
+    testbed.save_points(scale * nodes, tmp_path / "n.txt")
+    testbed.save_points(values, tmp_path / "v.txt")
+    argv = ["--problem", "custom", "--surface", surface, "--nodes-file",
+            str(tmp_path / "n.txt"), "--values-file", str(tmp_path / "v.txt")]
+    code = cli.main(argv + (["--mode", mode] if mode else []))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert builds == []
+    assert err.startswith("vecpum: configuration error: ")
+    assert err.count("\n") == 1
+    assert (f"mode {mode!r} does not fit" if mode else
+            "off the sphere by up to 1.000e-02") in err
+
+
 def test_cli_custom_shapes_must_agree(tmp_path, capsys):
     pts = np.random.default_rng(5).uniform(-1, 1, (300, 2))
     testbed.save_points(pts, tmp_path / "n.txt")

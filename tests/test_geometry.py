@@ -30,6 +30,38 @@ def test_sphere_rejects_off_surface_points():
         s.normals(np.array([[0.0, 0.0, 1.1]]))
 
 
+def test_surface_facts():
+    plane, sphere = geometry.plane2d(), geometry.sphere2()
+    r2, r3 = geometry.euclidean(2), geometry.euclidean(3)
+    assert plane.modes == sphere.modes == ("div_surface", "curl_surface")
+    assert r2.modes == r3.modes == ("curl_euclidean",)
+    assert [s.intrinsic_dim for s in (plane, sphere, r2, r3)] == [2, 2, 2, 3]
+
+
+def test_check_points():
+    rng = np.random.default_rng(6)
+    sphere, plane = geometry.sphere2(), geometry.plane2d()
+    pts = random_unit(rng, 30)
+    assert np.array_equal(sphere.check(pts.tolist()), pts)
+    assert sphere.check([]).shape == (0, 3)
+    pts[[3, 9]] *= 1.0 + 1e-6
+    with pytest.raises(ValueError,
+                       match=r"off the sphere by up to 1\.000e-06"):
+        sphere.check(pts)
+    flat = np.zeros((4, 3))
+    flat[1, 2] = 1e-10
+    assert np.array_equal(plane.check(flat), flat)
+    flat[2, 2] = -1e-6
+    with pytest.raises(ValueError, match=r"off the plane by up to 1\.000e-06"):
+        plane.check(flat)
+    with pytest.raises(ValueError, match=r"shape \(4, 2\)"):
+        plane.check(flat[:, :2])
+    with pytest.raises(ValueError, match=r"not finite \(rows \[1\]\)"):
+        geometry.euclidean(3).check([[0.0, 0.0, 5.0], [np.nan, 0.0, 0.0]])
+    far = 7.0 * random_unit(rng, 5)
+    assert np.array_equal(geometry.euclidean(3).check(far), far)
+
+
 def test_plane_frame_is_fixed():
     s = geometry.plane2d()
     d, e, n = s.tangent_frames(np.array([[0.4, 0.7, 0.0]]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -446,6 +448,32 @@ def test_non_finite_samples_rejected():
     bad_pts[2, 1] = np.inf
     assert_samples_rejected(bad_pts, vals, R3, "curl_euclidean",
                             match="finite")
+
+
+@pytest.mark.parametrize("case", ["plane-z", "sphere-2", "r2-3", "r3-2"])
+def test_samples_must_fit_the_surface(case):
+    rng = np.random.default_rng(41)
+    flat = rng.uniform(-1.0, 1.0, (20, 3))
+    if case == "plane-z":
+        pts, vals = random_plane_patch(rng, 20)
+        pts[7, 2] = 1e-6
+        assert_samples_rejected(pts, vals, PLANE, "div_surface",
+                                match=r"off the plane by up to 1\.000e-06")
+    elif case == "sphere-2":
+        # Unit-norm points with two columns are not sphere points.
+        angle = rng.uniform(0.0, 2.0 * np.pi, 20)
+        circle = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        tangent = np.stack([-np.sin(angle), np.cos(angle)], axis=1)
+        assert_samples_rejected(circle, tangent, SPHERE, "div_surface",
+                                match=re.escape("shape (20, 2)"))
+    elif case == "r2-3":
+        assert_samples_rejected(flat, flat, geometry.euclidean(2),
+                                "curl_euclidean",
+                                match=re.escape("shape (20, 3)"))
+    else:
+        assert_samples_rejected(flat[:, :2], flat[:, :2], R3,
+                                "curl_euclidean",
+                                match=re.escape("shape (20, 2)"))
 
 
 def test_factorization_failure_raises_patch_error():

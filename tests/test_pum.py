@@ -184,6 +184,35 @@ def ball_approx():
     return approx
 
 
+@pytest.fixture(scope="module")
+def sphere_approx():
+    problem = testbed.sphere_problem()
+    nodes = problem.nodes(600, np.random.SeedSequence(12))
+    approx, _ = fit_and_glue(problem, nodes, problem.field(nodes),
+                             default_config("sphere"))
+    return approx
+
+
+@pytest.mark.parametrize("name", ["plane", "sphere"])
+def test_points_off_the_surface_rejected(request, name):
+    # Two points 1e-6 off the surface, inside the cover once put back on it.
+    if name == "plane":
+        approx = request.getfixturevalue("star_approx")[2]
+        pts = star_points(20, seed=31)
+    else:
+        approx = request.getfixturevalue("sphere_approx")
+        pts = testbed.nodes_sphere(20, 32)
+    assert approx.covered_mask(pts)[[4, 11]].all()
+    if name == "plane":
+        pts[[4, 11], 2] = 1e-6
+    else:
+        pts[[4, 11]] *= 1.0 + 1e-6
+    for call in (approx.covered_mask, approx.batch_eval_all):
+        with pytest.raises(ValueError,
+                           match=rf"off the {name} by up to 1\.000e-06"):
+            call(pts)
+
+
 @pytest.mark.parametrize("name", ["star", "ball"])
 def test_empty_and_misshapen_points(request, name):
     approx = (request.getfixturevalue("star_approx")[2] if name == "star"
