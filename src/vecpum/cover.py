@@ -23,16 +23,10 @@ from .geometry import finite_points
 INFLATION_MARGIN = 1e-6
 
 # Relative slack on the candidate query radius, so that tree distances
-# rounded differently from the strict tests never drop a contained pair.
+# rounded differently from the strict test never drop a contained pair.
 _QUERY_MARGIN = 1e-9
 # Points per incidence query; bounds the size of its pair arrays.
 QUERY_BLOCK = 2048
-
-
-def _inside(d2, rho):
-    # Strict membership: exactly the pairs whose Shepard bump is positive
-    # (d2 < rho**2 disagrees within an ulp of the boundary).
-    return np.sqrt(d2) < rho
 
 
 def spacing_from_q(q, area, n_nodes, dim):
@@ -151,7 +145,7 @@ class Cover:
             raise ConfigError("a cover needs at least one patch and member "
                               "nodes in every patch")
         self.tree = cKDTree(self.centers)
-        self.edges = patch_graph_edges(self.centers, self.radii)
+        self.edges = patch_graph_edges(self.centers, self.radii, self.tree)
         m = len(self.centers)
         adj = sparse.coo_matrix((np.ones(len(self.edges)),
                                  (self.edges[:, 0], self.edges[:, 1])),
@@ -170,22 +164,9 @@ class Cover:
         return np.array([len(idx) for idx in self.members])
 
     def incidence(self, points):
-        """Candidate (point, patch) pairs of finite points, from one query.
-
-        Pairs are sorted by patch and then by point, so a scatter in pair
-        order adds each point's patch terms in ascending patch order.  The
-        candidates over-cover: each caller applies its own strict test to
-        ``d2`` (or its square root).
-        """
-        reach = float(self.radii.max()) * (1.0 + _QUERY_MARGIN)
-        found = cKDTree(points).sparse_distance_matrix(
-            self.tree, reach, output_type="ndarray")
-        order = np.lexsort((found["i"], found["j"]))
-        point = found["i"][order]
-        patch = found["j"][order]
-        diff = points[point] - self.centers[patch]
-        return Incidence(point=point, patch=patch, diff=diff,
-                         d2=(diff * diff).sum(-1))
+        """The (point, patch) pairs of finite points with the point
+        strictly inside the patch (``strict_pairs``)."""
+        return strict_pairs(points, self.centers, self.radii, self.tree)
 
     def covers(self, points):
         """Boolean mask: which of the given points lie in some patch."""
@@ -193,35 +174,51 @@ class Cover:
         mask = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), QUERY_BLOCK):
             inc = self.incidence(points[lo:lo + QUERY_BLOCK])
-            inside = _inside(inc.d2, self.radii[inc.patch])
-            mask[lo + inc.point[inside]] = True
+            mask[lo + inc.point] = True
         return mask
 
 
 @dataclass
 class Incidence:
     """Point-patch pairs: ``diff = points[point] - centers[patch]`` and
-    ``d2`` its squared length."""
+    ``dist`` its length."""
 
     point: np.ndarray
     patch: np.ndarray
     diff: np.ndarray
-    d2: np.ndarray
+    dist: np.ndarray
 
-    def take(self, sel):
-        return Incidence(point=self.point[sel], patch=self.patch[sel],
-                         diff=self.diff[sel], d2=self.d2[sel])
+
+def strict_pairs(points, centers, radii, tree):
+    """The (point, patch) pairs with ``sqrt(d2) < radius``, from one query.
+
+    ``tree`` indexes ``centers``.  This is the one membership test: it keeps
+    exactly the pairs whose Shepard bump is positive (``d2 < radius**2``
+    disagrees within an ulp of the boundary).  Pairs are sorted by patch and
+    then by point, so a scatter in pair order adds each point's patch terms
+    in ascending patch order.
+    """
+    reach = float(radii.max()) * (1.0 + _QUERY_MARGIN)
+    found = cKDTree(points).sparse_distance_matrix(tree, reach,
+                                                   output_type="ndarray")
+    point, patch = found["i"], found["j"]
+    diff = points[point] - centers[patch]
+    dist = np.sqrt((diff * diff).sum(-1))
+    keep = np.flatnonzero(dist < radii[patch])
+    # Each pair occurs once, so its key is unique and any sort gives the
+    # one (patch, point) order.
+    keep = keep[np.argsort(patch[keep] * len(points) + point[keep])]
+    return Incidence(point=point[keep], patch=patch[keep], diff=diff[keep],
+                     dist=dist[keep])
 
 
 def shepard_terms(cover, inc):
-    """The pairs with the point strictly inside the patch, their bumps
-    kappa_l and the gradients of kappa_l with respect to the point."""
+    """The bumps kappa_l of the pairs and the gradients of kappa_l with
+    respect to the point."""
     rho = cover.radii[inc.patch]
-    sel = _inside(inc.d2, rho)
-    inc, rho = inc.take(sel), rho[sel]
-    u = np.sqrt(inc.d2) / rho
+    u = inc.dist / rho
     grad_k = (_kappa_prime_over_r(u) / rho**2)[:, None] * inc.diff
-    return inc, kappa(u), grad_k
+    return kappa(u), grad_k
 
 
 def _initial_radius(surface, spacing, overlap):
@@ -230,9 +227,9 @@ def _initial_radius(surface, spacing, overlap):
     return (1.0 + overlap) * spacing / 2.0
 
 
-def patch_graph_edges(centers, radii):
-    """Pairs (l, k), l < k, of patches whose balls intersect."""
-    tree = cKDTree(centers)
+def patch_graph_edges(centers, radii, tree):
+    """Pairs (l, k), l < k, of patches whose balls intersect; ``tree``
+    indexes ``centers``."""
     pairs = tree.query_pairs(2.0 * float(np.max(radii)), output_type="ndarray")
     diff = centers[pairs[:, 0]] - centers[pairs[:, 1]]
     dist = np.sqrt((diff * diff).sum(-1))
@@ -248,8 +245,9 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     """Build a Cover: geometry-rule radii, then inflate for missed nodes.
 
     Every node not strictly inside any patch enlarges its nearest patch to
-    radius ``dist * (1 + INFLATION_MARGIN)``.  Patches that end up with no
-    member nodes are dropped (they carry no local fit).  Raises
+    radius ``dist * (1 + INFLATION_MARGIN)``.  The members are the nodes
+    ``strict_pairs`` finds inside each inflated patch; patches that end up
+    with no member nodes are dropped (they carry no local fit).  Raises
     CoverConnectivityError if the resulting patch graph is disconnected.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -259,24 +257,15 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     radii = np.full(len(centers), _initial_radius(surface, spacing, overlap))
 
     center_tree = cKDTree(centers)
-    dist, nearest = center_tree.query(nodes, k=1)
-    # Initial radii are uniform, so a node is covered iff its nearest center
-    # is strictly within the initial radius.
-    miss = dist >= radii[nearest]
-    np.maximum.at(radii, nearest[miss], dist[miss] * (1.0 + INFLATION_MARGIN))
+    miss = np.ones(len(nodes), dtype=bool)
+    miss[strict_pairs(nodes, centers, radii, center_tree).point] = False
+    dist, nearest = center_tree.query(nodes[miss], k=1)
+    np.maximum.at(radii, nearest, dist * (1.0 + INFLATION_MARGIN))
 
-    node_tree = cKDTree(nodes)
-    members = []
-    for c, rho in zip(centers, radii):
-        idx = np.asarray(sorted(node_tree.query_ball_point(c, rho)), dtype=int)
-        if len(idx):
-            diff = nodes[idx] - c
-            idx = idx[_inside((diff * diff).sum(-1), rho)]
-        members.append(idx)
-
-    keep = [i for i, idx in enumerate(members) if len(idx)]
+    inc = strict_pairs(nodes, centers, radii, center_tree)
+    keep, starts = np.unique(inc.patch, return_index=True)
     return Cover(centers=centers[keep], radii=radii[keep],
-                 members=[members[i] for i in keep], nodes=nodes)
+                 members=np.split(inc.point, starts[1:]), nodes=nodes)
 
 
 def single_patch_cover(nodes, surface, radius=None):
@@ -284,13 +273,13 @@ def single_patch_cover(nodes, surface, radius=None):
     interpolant equivalence)."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     center = surface.project(nodes.mean(axis=0))
-    dist = np.sqrt(((nodes - center) ** 2).sum(-1)).max()
     if radius is None:
-        radius = 2.5 * dist + 1e-3
-    if radius <= dist:
+        radius = 2.5 * np.sqrt(((nodes - center) ** 2).sum(-1)).max() + 1e-3
+    cov = Cover(centers=center[None, :], radii=np.array([float(radius)]),
+                members=[np.arange(len(nodes))], nodes=nodes)
+    if not cov.covers(nodes).all():
         raise ConfigError("radius does not enclose all nodes")
-    return Cover(centers=center[None, :], radii=np.array([float(radius)]),
-                 members=[np.arange(len(nodes))], nodes=nodes)
+    return cov
 
 
 @dataclass
@@ -313,7 +302,8 @@ def weights_at(cover, x):
     x = finite_points(x, cover.centers.shape[1])
     if len(x) != 1:
         raise ValueError(f"weights_at takes one point, got {len(x)}")
-    inc, k, grad_k = shepard_terms(cover, cover.incidence(x))
+    inc = cover.incidence(x)
+    k, grad_k = shepard_terms(cover, inc)
     idx = inc.patch
     if len(idx) == 0:
         raise CoverageError(f"point {x[0]} is outside every patch")

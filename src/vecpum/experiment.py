@@ -20,6 +20,7 @@ from .cover import (assign_radii_and_inflate, centers_plane, centers_sphere,
                     spacing_from_q)
 from .errors import ConfigError, VecPumError
 from .kernels import RadialKernel
+from .localfit import check_samples
 from .pum import build_approximant
 
 CSV_HEADER = ("problem,kernel,eps,q,delta,gamma,N,trial,"
@@ -281,13 +282,10 @@ def _custom_problem(config):
         nodes = geo.embed_points(nodes)
         values = geo.embed_points(values)
     mode = config.mode or surface.modes[0]
-    if mode not in surface.modes:
-        raise ConfigError(f"mode {mode!r} does not fit surface "
-                          f"{surface_kind!r}")
     try:
-        surface.check(nodes)
+        nodes, values = check_samples(nodes, values, surface, mode)
     except ValueError as exc:
-        raise ConfigError(f"custom nodes do not fit surface "
+        raise ConfigError(f"custom samples do not fit surface "
                           f"{surface_kind!r}: {exc}") from exc
     lo = nodes.min(axis=0)
     hi = nodes.max(axis=0)

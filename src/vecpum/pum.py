@@ -13,7 +13,8 @@ alone) is kept for comparison; it interpolates but is not conservative.
 
 Every batch, of one point or of thousands, takes the same path.  One
 point-patch incidence query (``Cover.incidence``) yields the pairs with the
-point inside the patch; each patch with points evaluates its local fit once
+point strictly inside the patch, the same pairs that decide patch
+membership and coverage; each patch with points evaluates its local fit once
 on them; the pair terms are scattered onto the points in ascending patch
 order.  A point's result therefore does not depend on the batch around it:
 pointwise, batched and threaded results are bit-identical.  The local
@@ -53,8 +54,8 @@ class PumApproximant:
         """Per-point sums of kappa, grad kappa, kappa*raw field,
         kappa*shifted potential and shifted potential*grad kappa."""
         m, dim = points.shape
-        inc, k, grad_k = cover_mod.shepard_terms(
-            self.cover, self.cover.incidence(points))
+        inc = self.cover.incidence(points)
+        k, grad_k = cover_mod.shepard_terms(self.cover, inc)
         pot = np.empty(len(k))
         raw = np.empty((len(k), dim))
         starts = np.flatnonzero(np.diff(inc.patch, prepend=-1))

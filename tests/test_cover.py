@@ -113,6 +113,19 @@ def test_membership_is_strict():
     for center, radius, idx in zip(cov.centers, cov.radii, cov.members):
         d = np.sqrt(((nodes[idx] - center) ** 2).sum(-1))
         assert (d < radius).all()
+    # Two patches of radius 0.55 and no inflation: (0.55, 0) lies on the
+    # first patch's boundary, so only the second holds it; (0.5, 0) lies in
+    # both and is a member of both.  Members are every node strictly
+    # inside, and no other.
+    centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+    nodes = np.array([[0.0, 0.0], [0.55, 0.0], [0.5, 0.0], [1.0, 0.1],
+                      [0.3, 0.2]])
+    cov = cover.assign_radii_and_inflate(centers, nodes, 0.1, surface, 1.0)
+    assert np.array_equal(cov.radii, [0.55, 0.55])
+    for center, radius, idx in zip(cov.centers, cov.radii, cov.members):
+        d = np.sqrt(((nodes - center) ** 2).sum(-1))
+        assert np.array_equal(idx, np.flatnonzero(d < radius))
+    assert [list(idx) for idx in cov.members] == [[0, 2, 4], [1, 2, 3]]
 
 
 def test_disconnected_cover_raises():
@@ -128,6 +141,15 @@ def test_single_patch_cover_derives_its_graph():
     cov = cover.single_patch_cover(nodes, geometry.euclidean(2), radius=1.0)
     assert len(cov) == 1 and cov.edges.shape == (0, 2)
     assert cov.tree.n == 1
+
+
+def test_single_patch_cover_must_enclose_strictly():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ConfigError, match="does not enclose"):
+        cover.single_patch_cover(nodes, geometry.euclidean(2), radius=0.5)
+    cov = cover.single_patch_cover(nodes, geometry.euclidean(2),
+                                   radius=np.nextafter(0.5, 1.0))
+    assert np.array_equal(cov.members[0], [0, 1])
 
 
 def test_empty_nodes_rejected():

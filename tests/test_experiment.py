@@ -268,11 +268,38 @@ def test_cli_custom_columns_must_fit_surface(surface, columns, need,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("surface,mode,scale", [
-    ("plane", "curl_euclidean", 1.0), ("r2", "div_surface", 1.0),
-    ("sphere", None, 1.01)])
-def test_cli_custom_samples_must_fit_surface(surface, mode, scale, tmp_path,
-                                             capsys, monkeypatch):
+def _scale_nodes(nodes, values):
+    nodes *= 1.01
+
+
+def _nan_value(nodes, values):
+    values[7, 0] = np.nan
+
+
+def _normal_value(nodes, values):
+    values += 0.01 * nodes
+
+
+def _repeat_node(nodes, values):
+    nodes[1] = nodes[0]
+
+
+@pytest.mark.parametrize("surface,mode,spoil,message", [
+    pytest.param("plane", "curl_euclidean", None,
+                 "mode 'curl_euclidean' does not fit",
+                 id="plane-curl_euclidean-1.0"),
+    pytest.param("r2", "div_surface", None, "mode 'div_surface' does not fit",
+                 id="r2-div_surface-1.0"),
+    pytest.param("sphere", None, _scale_nodes,
+                 "off the sphere by up to 1.000e-02", id="sphere-None-1.01"),
+    pytest.param("plane", None, _nan_value, "sample values must be finite",
+                 id="plane-nan-value"),
+    pytest.param("sphere", None, _normal_value, "values are not tangent",
+                 id="sphere-normal-value"),
+    pytest.param("plane", None, _repeat_node,
+                 "nodes must be pairwise distinct", id="plane-repeated-node")])
+def test_cli_custom_samples_must_fit_surface(surface, mode, spoil, message,
+                                             tmp_path, capsys, monkeypatch):
     builds = []
     monkeypatch.setattr(experiment, "build_approximant",
                         lambda *args, **kw: builds.append(args))
@@ -282,7 +309,9 @@ def test_cli_custom_samples_must_fit_surface(surface, mode, scale, tmp_path,
     else:
         nodes = testbed.nodes_star(300, 2)
         values = testbed.u1(nodes)
-    testbed.save_points(scale * nodes, tmp_path / "n.txt")
+    if spoil is not None:
+        spoil(nodes, values)
+    testbed.save_points(nodes, tmp_path / "n.txt")
     testbed.save_points(values, tmp_path / "v.txt")
     argv = ["--problem", "custom", "--surface", surface, "--nodes-file",
             str(tmp_path / "n.txt"), "--values-file", str(tmp_path / "v.txt")]
@@ -292,8 +321,7 @@ def test_cli_custom_samples_must_fit_surface(surface, mode, scale, tmp_path,
     assert builds == []
     assert err.startswith("vecpum: configuration error: ")
     assert err.count("\n") == 1
-    assert (f"mode {mode!r} does not fit" if mode else
-            "off the sphere by up to 1.000e-02") in err
+    assert message in err
 
 
 def test_cli_custom_shapes_must_agree(tmp_path, capsys):

@@ -76,6 +76,40 @@ def test_covers_matches_brute_force(built, name, data):
                           brute_force_covers(cover, points))
 
 
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_members_are_the_nodes_strictly_inside(built, name):
+    cover = built[name][0].cover
+    for center, rho, idx in zip(cover.centers, cover.radii, cover.members):
+        dist = np.sqrt(((cover.nodes - center) ** 2).sum(-1))
+        assert np.array_equal(idx, np.flatnonzero(dist < rho))
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_blend_does_not_depend_on_node_order(built, name, seed):
+    # Measured worst deviations over 3 permutations: 4.5e-13 (field) and
+    # 9.9e-14 (potential) on the sphere (Matern), 1.7e-15 and 5.0e-16 on
+    # the star, 2.6e-15 and 8.0e-16 in the ball, relative to the larger
+    # side.
+    approx, pts, (pot1, field1, _) = built[name]
+    problem = testbed.PROBLEMS[name]()
+    perm = np.random.default_rng(seed).permutation(len(approx.cover.nodes))
+    nodes = approx.cover.nodes[perm]
+    shuffled, _ = fit_and_glue(problem, nodes, problem.field(nodes),
+                               default_config(name))
+    cover, again = approx.cover, shuffled.cover
+    assert np.array_equal(again.centers, cover.centers)
+    assert np.array_equal(again.radii, cover.radii)
+    for idx, moved in zip(cover.members, again.members):
+        assert np.array_equal(np.sort(perm[moved]), idx)
+    pot, field = shuffled.batch_eval(pts)
+    sides = [(field, field1), (pot - pot.mean(), pot1 - pot1.mean())]
+    for got, want in sides:
+        scale = max(max_norm(got), max_norm(want))
+        assert max_norm(got - want) <= 1e-9 * scale
+
+
 def second_field(approx, rng):
     """cos(x M) at the nodes for a random M, made to fit the mode: tangent
     on the sphere, z = 0 on the plane."""
