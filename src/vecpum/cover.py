@@ -126,7 +126,8 @@ def _kappa_prime_over_r(r):
 class Cover:
     """Immutable patch cover over a node set.
 
-    ``members[l]`` indexes the nodes strictly inside patch l.  ``tree``
+    ``members[l]`` indexes the nodes strictly inside patch l; the members
+    are consecutive views of one flat index, ``member_index``.  ``tree``
     indexes the patch centers and ``edges`` holds the overlapping patch
     pairs (``patch_graph_edges``).  Construction raises ConfigError unless
     every patch has members, and CoverConnectivityError on a disconnected
@@ -137,6 +138,7 @@ class Cover:
     radii: np.ndarray
     members: list
     nodes: np.ndarray
+    member_index: np.ndarray = field(init=False, repr=False)
     tree: cKDTree = field(init=False, repr=False)
     edges: np.ndarray = field(init=False, repr=False)
 
@@ -144,6 +146,9 @@ class Cover:
         if not self.members or not all(len(idx) for idx in self.members):
             raise ConfigError("a cover needs at least one patch and member "
                               "nodes in every patch")
+        self.member_index = np.concatenate(self.members)
+        self.members = np.split(self.member_index,
+                                np.cumsum(self.member_counts())[:-1])
         self.tree = cKDTree(self.centers)
         self.edges = patch_graph_edges(self.centers, self.radii, self.tree)
         m = len(self.centers)

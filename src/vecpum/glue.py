@@ -76,7 +76,7 @@ def build_shift_system(graph, fits):
 
     Row i for edge (l, k) has +1 in column l and -1 in column k, and
     c_i = psi_k(glue_i) - psi_l(glue_i) evaluated with the fitted local
-    potentials.
+    potentials of ``fits`` (a ``FitTable``), all edge ends in one call.
     """
     n_edges = len(graph.edges)
     m = graph.n_patches
@@ -84,14 +84,8 @@ def build_shift_system(graph, fits):
     cols = graph.edges.reshape(-1)
     data = np.tile([1.0, -1.0], n_edges)
     p = sparse.csr_matrix((data, (rows, cols)), shape=(n_edges, m))
-    # Edge ends grouped by patch, edges ascending within a patch, so each
-    # local potential is evaluated once, on all of its glue points.
-    order = np.argsort(cols, kind="stable")
-    psi = np.empty(2 * n_edges)
-    starts = np.flatnonzero(np.diff(cols[order], prepend=-1))
-    for lo, hi in zip(starts, np.r_[starts[1:], len(order)]):
-        at = order[lo:hi]
-        psi[at] = fits[cols[at[0]]].potential_at(graph.points[at // 2])
+    psi, _ = fits.pair_sums(np.repeat(graph.points, 2, axis=0), cols,
+                            with_field=False)
     psi = psi.reshape(n_edges, 2)
     return p, psi[:, 1] - psi[:, 0]
 

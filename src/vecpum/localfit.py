@@ -8,12 +8,20 @@ block matrix of -H.  All systems are symmetric positive definite for the
 shipped kernels and are solved by Cholesky factorization; failures surface
 as PatchFitError rather than being regularized away.
 
-Evaluation avoids BLAS reductions on purpose: sums run over the trailing
-axes of C-contiguous arrays so a point evaluated alone is bit-identical to
-the same point inside a batch.
+Solved fits live in a ``FitTable``: the eval vectors of all patches in one
+(d, T) table, patch after patch with no padding, and node coordinates read
+through a flat member index.  Its pair kernel ``pair_sums`` is the one
+evaluator: it forms each (point, patch) pair's node terms in chunks of at
+most ``PAIR_CHUNK`` terms and sums them without BLAS.  Field sums are
+``bincount``s, which add in term order from 0.0; potential sums are
+``reduceat`` segments led by an explicit 0.0, which reproduce numpy's
+pairwise row sum.  These are the sums a dense evaluation of one fit at a
+batch of points forms, so a pair's bits depend only on its own terms: a
+point evaluated alone is bit-identical to the same point inside a batch,
+whatever the chunking.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -26,6 +34,9 @@ from .kernels import RadialKernel
 GLOBAL_FIT_GUARD = 5000
 TANGENCY_TOL = 1e-10
 _ASSEMBLY_BLOCK = 256
+# Node terms per chunk of pair evaluation, which bounds its working set.
+# Smaller chunks cost throughput in per-chunk numpy calls.
+PAIR_CHUNK = 8192
 
 
 def check_samples(nodes, values, surface, mode):
@@ -144,34 +155,189 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
     return 0.5 * (a + a.T)
 
 
-@dataclass
-class LocalFit:
-    """A solved interpolation system on one node set.
+@dataclass(frozen=True, eq=False)
+class FitTable:
+    """Solved expansions of a list of patches, stored patch after patch.
 
-    ``coef_vectors`` are the expansion coefficients c_j (tangent at the
-    nodes for surface modes); ``eval_vectors`` carry the precomputed
-    Q_j c_j (div-free) or c_j (curl-free) used by evaluation; ``sign`` is
-    +1 for div-free and -1 for curl-free expansions.
+    Patch l owns the table columns ``offsets[l]:offsets[l + 1]``: its nodes
+    are the rows ``members[cols]`` of ``nodes`` and its eval vectors are
+    ``eval_vectors[:, cols]``, Q_j c_j (div-free) or c_j (curl-free) for the
+    expansion coefficients c_j.  ``sign[l]`` is +1 for div-free and -1 for
+    curl-free expansions.  Indexing gives the patches' ``LocalFit`` views.
+    The arrays the table owns (all but ``nodes`` and ``members``, which may
+    be a cover's) are read-only.
     """
 
     mode: str
     kernel: RadialKernel
     surface: geometry.Surface
     nodes: np.ndarray
-    coef_vectors: np.ndarray
+    members: np.ndarray
+    offsets: np.ndarray
     eval_vectors: np.ndarray
-    sign: float
-    alpha_beta: np.ndarray = None
-    fit_residual: float = 0.0
+    sign: np.ndarray
+    fit_residual: np.ndarray
+
+    def __post_init__(self):
+        for owned in (self.offsets, self.eval_vectors, self.sign,
+                      self.fit_residual):
+            owned.flags.writeable = False
+
+    def __len__(self):
+        return len(self.sign)
+
+    def __getitem__(self, l):
+        if isinstance(l, slice):
+            return [self[i] for i in range(len(self))[l]]
+        return LocalFit(self, range(len(self))[l])
+
+    def pair_sums(self, points, patch, with_field=True):
+        """(potential, unprojected field) of fit ``patch[i]`` at
+        ``points[i]``; the field is None unless ``with_field``.
+
+        Pairs are taken in chunks of at most ``PAIR_CHUNK`` terms (a pair
+        with more terms is a chunk of its own).  Every term is formed as in
+        one fit's dense (points, nodes) evaluation: ``dx = x - node``,
+        ``r = sqrt(sum dx_c^2)``, ``proj = sum dx_c ev_c``, the potential
+        term ``F proj`` and the field term ``F ev_c + (S proj) dx_c``.  The
+        field sums are ``bincount``s, which add in term order from 0.0 as
+        the dense sum over nodes does.  Each potential sum is one
+        ``reduceat`` segment led by an explicit 0.0, since ``reduceat``
+        adds the first element to the pairwise sum of the rest and the
+        dense row sum adds 0.0 to the pairwise sum of the whole row.  A
+        pair's bits therefore depend on its own terms only, whatever pairs
+        and chunks surround it.
+        """
+        points = np.asarray(points, dtype=float)
+        patch = np.asarray(patch, dtype=np.intp)
+        first = self.offsets[patch]
+        count = self.offsets[patch + 1] - first
+        ends = np.cumsum(count)
+        pot = np.empty(len(patch))
+        raw = np.empty(points.shape) if with_field else None
+        lo = 0
+        while lo < len(patch):
+            cap = ends[lo] - count[lo] + PAIR_CHUNK
+            hi = max(lo + 1, int(np.searchsorted(ends, cap, side="right")))
+            self._chunk(points[lo:hi], first[lo:hi], count[lo:hi],
+                        pot[lo:hi], None if raw is None else raw[lo:hi])
+            lo = hi
+        sign = self.sign[patch]
+        pot *= sign
+        if with_field:
+            raw *= sign[:, None]
+        return pot, raw
+
+    def _chunk(self, points, first, count, pot, raw):
+        n_pair, dim = points.shape
+        n_term = int(count.sum())
+        owner = np.repeat(np.arange(n_pair), count)
+        start = np.cumsum(count) - count
+        cols = np.arange(n_term) + np.repeat(first - start, count)
+        # (dim, n_term) rows: the pair's point minus the term's node, and
+        # the term's eval vector.
+        dx = np.repeat(points.T, count, axis=1)
+        dx -= np.take(self.nodes, np.take(self.members, cols), axis=0).T
+        ev = np.take(self.eval_vectors, cols, axis=1)
+        del cols
+        tmp = np.empty(n_term)
+        r = np.multiply(dx[0], dx[0])
+        proj = np.multiply(dx[0], ev[0])
+        proj += 0.0  # a dense sum starts at 0.0, turning -0.0 into +0.0
+        for c in range(1, dim):
+            r += np.multiply(dx[c], dx[c], out=tmp)
+            proj += np.multiply(dx[c], ev[c], out=tmp)
+        np.sqrt(r, out=r)
+        if raw is None:
+            f = self.kernel.phi_d1_over_r(r)
+        else:
+            f, s = self.kernel.hessian_coeffs(r)
+            s *= proj
+            for c in range(dim):
+                ev[c] *= f
+                ev[c] += np.multiply(s, dx[c], out=tmp)
+                raw[:, c] = np.bincount(owner, ev[c], minlength=n_pair)
+            del s
+        del dx, ev, r, tmp
+        f *= proj
+        # Each pair's potential terms follow one zero slot.
+        lead = start + np.arange(n_pair)
+        slots = np.ones(n_term + n_pair, dtype=bool)
+        slots[lead] = False
+        terms = np.zeros(n_term + n_pair)
+        terms[slots] = f
+        pot[:] = np.add.reduceat(terms, lead)
+
+
+@dataclass(frozen=True)
+class LocalFit:
+    """A solved interpolation system on one node set: patch ``patch`` of
+    ``table``.
+
+    ``coef_vectors`` are the expansion coefficients c_j, derived from the
+    eval vectors (c_j = (n_j x c_j) x n_j for div-free, tangent c_j);
+    ``alpha_beta`` are their components in the surface's tangent frames
+    (None in flat space).
+    """
+
+    table: FitTable = field(repr=False)
+    patch: int
+
+    @property
+    def _cols(self):
+        return slice(self.table.offsets[self.patch],
+                     self.table.offsets[self.patch + 1])
+
+    @property
+    def mode(self):
+        return self.table.mode
+
+    @property
+    def kernel(self):
+        return self.table.kernel
+
+    @property
+    def surface(self):
+        return self.table.surface
+
+    @property
+    def nodes(self):
+        return self.table.nodes[self.table.members[self._cols]]
+
+    @property
+    def eval_vectors(self):
+        return self.table.eval_vectors[:, self._cols].T
+
+    @property
+    def sign(self):
+        return float(self.table.sign[self.patch])
+
+    @property
+    def fit_residual(self):
+        return float(self.table.fit_residual[self.patch])
+
+    @property
+    def coef_vectors(self):
+        if self.mode != "div_surface":
+            return self.eval_vectors
+        return np.cross(self.eval_vectors, self.surface.normals(self.nodes))
+
+    @property
+    def alpha_beta(self):
+        if self.mode == "curl_euclidean":
+            return None
+        d, e, _ = self.surface.tangent_frames(self.nodes)
+        coef = self.coef_vectors
+        return np.stack([(coef * d).sum(-1), (coef * e).sum(-1)], axis=1)
+
+    def _at(self, points, with_field):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return self.table.pair_sums(points, np.full(len(points), self.patch),
+                                    with_field)
 
     def potential_at(self, points):
         """Scalar potential of the interpolant at the given points."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = points[:, None, :] - self.nodes[None, :, :]
-        r = np.sqrt((diff * diff).sum(-1))
-        f = self.kernel.phi_d1_over_r(r)
-        proj = (diff * self.eval_vectors[None, :, :]).sum(-1)
-        return self.sign * (f * proj).sum(-1)
+        return self._at(points, False)[0]
 
     def field_at(self, points):
         """Vector interpolant at the given points (tangent on surfaces)."""
@@ -182,15 +348,27 @@ class LocalFit:
     def field_potential_at(self, points):
         """(potential, unprojected field) sharing one pass over the node
         pairs; ``tangent_operator`` of the second output is ``field_at``."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        diff = points[:, None, :] - self.nodes[None, :, :]
-        r = np.sqrt((diff * diff).sum(-1))
-        f, s = self.kernel.hessian_coeffs(r)
-        proj = (diff * self.eval_vectors[None, :, :]).sum(-1)
-        pot = self.sign * (f * proj).sum(-1)
-        raw = self.sign * (f[:, :, None] * self.eval_vectors[None, :, :] +
-                           (s * proj)[:, :, None] * diff).sum(axis=1)
-        return pot, raw
+        return self._at(points, True)
+
+
+def stack_fits(fits, nodes=None, members=None):
+    """One ``FitTable`` holding the given fits in order.
+
+    The fits' nodes are the rows ``members`` (patch after patch) of
+    ``nodes`` when these are given, as a cover's flat member index and
+    nodes; otherwise they are copied from the fits.
+    """
+    counts = [len(f.eval_vectors) for f in fits]
+    if nodes is None:
+        nodes = np.concatenate([f.nodes for f in fits])
+        members = np.arange(len(nodes))
+    return FitTable(
+        mode=fits[0].mode, kernel=fits[0].kernel, surface=fits[0].surface,
+        nodes=nodes, members=members, offsets=np.cumsum([0] + counts),
+        eval_vectors=np.concatenate([f.eval_vectors.T for f in fits],
+                                    axis=1),
+        sign=np.array([f.sign for f in fits]),
+        fit_residual=np.array([f.fit_residual for f in fits]))
 
 
 def _solve_spd(a, rhs, patch_id):
@@ -210,12 +388,11 @@ def fit_patch(nodes, values, kernel, surface, mode, frames=None,
     changes).
     """
     n = len(nodes)
-    alpha_beta = None
     if mode == "curl_euclidean":
         a = assemble_system(kernel, surface, nodes, mode)
         rhs = values.reshape(-1)
         sol = _solve_spd(a, rhs, patch_id)
-        coef = evec = sol.reshape(n, nodes.shape[1])
+        evec = sol.reshape(n, nodes.shape[1])
         sign = -1.0
     else:
         if frames is None:
@@ -235,10 +412,12 @@ def fit_patch(nodes, values, kernel, surface, mode, frames=None,
     miss = (a @ sol - rhs).reshape(n, -1)
     scale = float(np.sqrt((values * values).sum(-1)).max())
     worst = float(np.sqrt((miss * miss).sum(-1)).max())
-    return LocalFit(mode=mode, kernel=kernel, surface=surface, nodes=nodes,
-                    coef_vectors=coef, eval_vectors=evec, sign=sign,
-                    alpha_beta=alpha_beta,
-                    fit_residual=worst / scale if scale > 0 else worst)
+    return FitTable(mode=mode, kernel=kernel, surface=surface, nodes=nodes,
+                    members=np.arange(n), offsets=np.array([0, n]),
+                    eval_vectors=np.ascontiguousarray(evec.T),
+                    sign=np.array([sign]),
+                    fit_residual=np.array([worst / scale if scale > 0
+                                           else worst]))[0]
 
 
 def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):

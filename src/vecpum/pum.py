@@ -14,12 +14,15 @@ alone) is kept for comparison; it interpolates but is not conservative.
 Every batch, of one point or of thousands, takes the same path.  One
 point-patch incidence query (``Cover.incidence``) yields the pairs with the
 point strictly inside the patch, the same pairs that decide patch
-membership and coverage; each patch with points evaluates its local fit once
-on them; the pair terms are scattered onto the points in ascending patch
-order.  A point's result therefore does not depend on the batch around it:
-pointwise, batched and threaded results are bit-identical.  The local
-fields are blended unprojected and the surface operator, which is linear
-and depends only on the point, is applied once per point.
+membership and coverage.  One call of ``FitTable.pair_sums`` evaluates the
+local fits on all the pairs: a ``bincount`` sums each pair's field terms in
+node order from 0.0 and a ``reduceat`` segment led by an explicit 0.0 sums
+its potential terms, which are the sums a dense evaluation of that one fit
+forms, bit for bit.  The pair terms are then scattered onto the points in
+ascending patch order.  A point's result therefore does not depend on the
+batch around it: pointwise, batched and threaded results are bit-identical.
+The local fields are blended unprojected and the surface operator, which is
+linear and depends only on the point, is applied once per point.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -31,15 +34,18 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import check_samples, fit_patch
+from .localfit import FitTable, check_samples, fit_patch, stack_fits
 
 
 @dataclass
 class PumApproximant:
-    """An assembled partition-of-unity approximant (immutable after build)."""
+    """An assembled partition-of-unity approximant (immutable after build).
+
+    ``fits`` is a ``FitTable``; a list of ``LocalFit`` is stacked into one.
+    """
 
     cover: object
-    fits: list
+    fits: FitTable
     shifts: object
     surface: geometry.Surface
     mode: str
@@ -49,19 +55,16 @@ class PumApproximant:
         if not (len(self.fits) == n_patch == len(self.shifts.shifts)):
             raise ValueError("cover, fits, and shifts disagree on the "
                              "number of patches")
+        if not isinstance(self.fits, FitTable):
+            self.fits = stack_fits(self.fits)
 
     def _accumulate(self, points):
         """Per-point sums of kappa, grad kappa, kappa*raw field,
         kappa*shifted potential and shifted potential*grad kappa."""
-        m, dim = points.shape
+        m = len(points)
         inc = self.cover.incidence(points)
         k, grad_k = cover_mod.shepard_terms(self.cover, inc)
-        pot = np.empty(len(k))
-        raw = np.empty((len(k), dim))
-        starts = np.flatnonzero(np.diff(inc.patch, prepend=-1))
-        for lo, hi in zip(starts, np.r_[starts[1:], len(k)]):
-            pot[lo:hi], raw[lo:hi] = self.fits[inc.patch[lo]] \
-                .field_potential_at(points[inc.point[lo:hi]])
+        pot, raw = self.fits.pair_sums(points[inc.point], inc.patch)
         shifted = pot + self.shifts.shifts[inc.patch]
 
         def scatter(terms):
@@ -133,6 +136,8 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
 
     ``values`` are the field samples at ``cover.nodes``, checked once.
     Patches are fit serially; threads are used for batch evaluation only.
+    The fits go into one ``FitTable`` that reads their nodes through the
+    cover's member index, and the per-patch solutions are dropped.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -142,9 +147,10 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
     nodes, values = check_samples(cover.nodes, values, surface, mode)
-    fits = [fit_patch(nodes[idx], values[idx], kernel, surface, mode,
-                      patch_id=l)
-            for l, idx in enumerate(cover.members)]
+    fits = stack_fits([fit_patch(nodes[idx], values[idx], kernel, surface,
+                                 mode, patch_id=l)
+                       for l, idx in enumerate(cover.members)],
+                      nodes, cover.member_index)
     graph = glue_mod.build_glue_graph(cover, surface)
     p, c = glue_mod.build_shift_system(graph, fits)
     solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import sympy
 
-from vecpum import geometry
+import pair_oracle
+from vecpum import geometry, localfit
 from vecpum.cover import Cover
 from vecpum.errors import ConfigError, GlobalFitSizeError, PatchFitError
 from vecpum.kernels import RadialKernel
 from vecpum.localfit import (assemble_system, check_samples, fit_global,
-                             fit_patch, phi_curl_block, phi_div_block)
+                             fit_patch, phi_curl_block, phi_div_block,
+                             stack_fits)
 from vecpum.pum import build_approximant
 
 PLANE = geometry.plane2d()
@@ -495,3 +497,84 @@ def test_mode_surface_mismatch_rejected():
     assert_samples_rejected(pts, vals, PLANE, "curl_euclidean",
                             match="does not fit")
     assert_samples_rejected(pts, vals, PLANE, "div_free", match="unknown")
+
+
+PAIR_CASES = {
+    "plane_div": (PLANE, "div_surface", RadialKernel("imq", 3.0)),
+    "plane_curl": (PLANE, "curl_surface", RadialKernel("matern4", 2.5)),
+    "sphere_div": (SPHERE, "div_surface", RadialKernel("matern4", 7.5)),
+    "sphere_curl": (SPHERE, "curl_surface", RadialKernel("imq", 3.0)),
+    "r2_curl": (geometry.euclidean(2), "curl_euclidean",
+                RadialKernel("imq", 2.0)),
+    "r3_curl": (R3, "curl_euclidean", RadialKernel("matern4", 2.0)),
+}
+
+
+def pair_case_samples(surface, rng, n):
+    if surface is SPHERE:
+        return random_sphere_patch(rng, n)
+    if surface is PLANE:
+        return random_plane_patch(rng, n)
+    pts = rng.uniform(-1, 1, size=(n, surface.dim))
+    return pts, rng.normal(size=(n, surface.dim))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, localfit.PAIR_CHUNK])
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
+    # Patches of 1 to 57 nodes in one table; every (point, patch) pair must
+    # carry the dense per-fit evaluation's bits, in any selection and order
+    # of pairs and for any chunk size.
+    monkeypatch.setattr(localfit, "PAIR_CHUNK", chunk)
+    surface, mode, kernel = PAIR_CASES[case]
+    rng = np.random.default_rng(sorted(PAIR_CASES).index(case))
+    fits = [fit_patch(*pair_case_samples(surface, rng, n), kernel, surface,
+                      mode) for n in (1, 9, 57, 23)]
+    table = stack_fits(fits)
+    probes = pair_case_samples(surface, rng, 13)[0]
+    want = [pair_oracle.field_potential(f, probes) for f in fits]
+    want_psi = [pair_oracle.potential(f, probes) for f in fits]
+    for fit, (pot, raw), psi in zip(table, want, want_psi):
+        assert pair_oracle.same_bits(pot, psi)
+        got = fit.field_potential_at(probes)
+        assert pair_oracle.same_bits(got[0], pot)
+        assert pair_oracle.same_bits(got[1], raw)
+        assert pair_oracle.same_bits(fit.potential_at(probes), psi)
+    point, patch = (a.ravel() for a in np.meshgrid(
+        np.arange(len(probes)), np.arange(len(fits))))
+    every = rng.permutation(len(point))
+    for pick in (every, every[:len(every) // 3], every[:2], every[:1],
+                 every[:0]):
+        pot, raw = table.pair_sums(probes[point[pick]], patch[pick])
+        psi, none = table.pair_sums(probes[point[pick]], patch[pick],
+                                    with_field=False)
+        assert none is None
+        assert pair_oracle.same_bits(
+            pot, np.array([want[l][0][i] for i, l in
+                           zip(point[pick], patch[pick])]))
+        assert pair_oracle.same_bits(
+            raw, np.array([want[l][1][i] for i, l in
+                           zip(point[pick], patch[pick])]).reshape(
+                               len(pick), surface.dim))
+        assert pair_oracle.same_bits(psi, pot)
+
+
+def test_coefficients_derive_from_eval_vectors():
+    # coef_vectors are read back from the eval vectors and alpha_beta are
+    # their frame components, so the frames rebuild the coefficients.
+    rng = np.random.default_rng(23)
+    pts, vals = random_sphere_patch(rng, 30)
+    k = RadialKernel("matern4", 7.5)
+    d, e, n = SPHERE.tangent_frames(pts)
+    for mode in ("div_surface", "curl_surface"):
+        fit = fit_patch(pts, vals, k, SPHERE, mode)
+        coef = fit.coef_vectors
+        scale = np.abs(coef).max()
+        assert np.abs((coef * n).sum(-1)).max() <= 1e-15 * scale
+        ab = fit.alpha_beta
+        assert np.abs(ab[:, :1] * d + ab[:, 1:] * e - coef).max() \
+            <= 1e-15 * scale
+    fit = fit_patch(pts, vals, RadialKernel("imq", 2.0), R3,
+                    "curl_euclidean")
+    assert fit.alpha_beta is None
+    assert np.shares_memory(fit.coef_vectors, fit.table.eval_vectors)

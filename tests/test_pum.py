@@ -193,6 +193,27 @@ def sphere_approx():
     return approx
 
 
+@pytest.mark.parametrize("name", ["star", "sphere", "ball"])
+def test_fits_live_in_one_table(request, name):
+    # One copy of everything per approximant: the fits are views of one
+    # table, which reads node coordinates through the cover's member index.
+    approx = (request.getfixturevalue("star_approx")[2] if name == "star"
+              else request.getfixturevalue(f"{name}_approx"))
+    table, cov = approx.fits, approx.cover
+    assert isinstance(table, localfit.FitTable)
+    assert table.nodes is cov.nodes and table.members is cov.member_index
+    assert table.eval_vectors.shape == (cov.nodes.shape[1],
+                                        len(cov.member_index))
+    assert len(table) == len(cov)
+    for l, (fit, idx) in enumerate(zip(table, cov.members)):
+        assert fit.patch == l and fit.table is table
+        assert np.shares_memory(fit.eval_vectors, table.eval_vectors)
+        assert np.shares_memory(idx, cov.member_index)
+        assert not any(isinstance(v, np.ndarray) for v in vars(fit).values())
+        assert np.array_equal(fit.nodes, cov.nodes[idx])
+    assert not table.eval_vectors.flags.writeable
+
+
 @pytest.mark.parametrize("name", ["plane", "sphere"])
 def test_points_off_the_surface_rejected(request, name):
     # Two points 1e-6 off the surface, inside the cover once put back on it.
