@@ -8,17 +8,17 @@ block matrix of -H.  All systems are symmetric positive definite for the
 shipped kernels and are solved by Cholesky factorization; failures surface
 as PatchFitError rather than being regularized away.
 
-Solved fits live in a ``FitTable``: the eval vectors of all patches in one
-(d, T) table, patch after patch with no padding, and node coordinates read
-through a flat member index.  Its pair kernel ``pair_sums`` is the one
-evaluator: it forms each (point, patch) pair's node terms in chunks of at
-most ``PAIR_CHUNK`` terms and sums them without BLAS.  Field sums are
-``bincount``s, which add in term order from 0.0; potential sums are
-``reduceat`` segments led by an explicit 0.0, which reproduce numpy's
-pairwise row sum.  These are the sums a dense evaluation of one fit at a
-batch of points forms, so a pair's bits depend only on its own terms: a
-point evaluated alone is bit-identical to the same point inside a batch,
-whatever the chunking.
+``fit_table`` solves every patch (``fit_patch`` solves one) straight into
+one ``FitTable``: the eval vectors of all patches in one (d, T) table, patch
+after patch with no padding, and node coordinates read through a flat
+member index.  Its pair kernel ``pair_sums`` is the one evaluator: it forms
+each (point, patch) pair's node terms in chunks of at most ``PAIR_CHUNK``
+terms and sums them without BLAS.  Field sums are ``bincount``s, which
+add in term order from 0.0; potential sums are ``reduceat`` segments led by
+an explicit 0.0, which reproduce numpy's pairwise row sum.  These are the
+sums a dense evaluation of one fit at a batch of points forms, so a pair's
+bits depend only on its own terms: a point evaluated alone is bit-identical
+to the same point inside a batch, whatever the chunking.
 """
 
 from dataclasses import dataclass, field
@@ -163,7 +163,7 @@ class FitTable:
     are the rows ``members[cols]`` of ``nodes`` and its eval vectors are
     ``eval_vectors[:, cols]``, Q_j c_j (div-free) or c_j (curl-free) for the
     expansion coefficients c_j.  ``sign[l]`` is +1 for div-free and -1 for
-    curl-free expansions.  Indexing gives the patches' ``LocalFit`` views.
+    curl-free expansions.  ``table[l]`` is patch l's ``LocalFit`` view.
     The arrays the table owns (all but ``nodes`` and ``members``, which may
     be a cover's) are read-only.
     """
@@ -187,8 +187,6 @@ class FitTable:
         return len(self.sign)
 
     def __getitem__(self, l):
-        if isinstance(l, slice):
-            return [self[i] for i in range(len(self))[l]]
         return LocalFit(self, range(len(self))[l])
 
     def pair_sums(self, points, patch, with_field=True):
@@ -272,13 +270,7 @@ class FitTable:
 @dataclass(frozen=True)
 class LocalFit:
     """A solved interpolation system on one node set: patch ``patch`` of
-    ``table``.
-
-    ``coef_vectors`` are the expansion coefficients c_j, derived from the
-    eval vectors (c_j = (n_j x c_j) x n_j for div-free, tangent c_j);
-    ``alpha_beta`` are their components in the surface's tangent frames
-    (None in flat space).
-    """
+    ``table``, whose rows its properties read."""
 
     table: FitTable = field(repr=False)
     patch: int
@@ -316,20 +308,6 @@ class LocalFit:
     def fit_residual(self):
         return float(self.table.fit_residual[self.patch])
 
-    @property
-    def coef_vectors(self):
-        if self.mode != "div_surface":
-            return self.eval_vectors
-        return np.cross(self.eval_vectors, self.surface.normals(self.nodes))
-
-    @property
-    def alpha_beta(self):
-        if self.mode == "curl_euclidean":
-            return None
-        d, e, _ = self.surface.tangent_frames(self.nodes)
-        coef = self.coef_vectors
-        return np.stack([(coef * d).sum(-1), (coef * e).sum(-1)], axis=1)
-
     def _at(self, points, with_field):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return self.table.pair_sums(points, np.full(len(points), self.patch),
@@ -351,26 +329,6 @@ class LocalFit:
         return self._at(points, True)
 
 
-def stack_fits(fits, nodes=None, members=None):
-    """One ``FitTable`` holding the given fits in order.
-
-    The fits' nodes are the rows ``members`` (patch after patch) of
-    ``nodes`` when these are given, as a cover's flat member index and
-    nodes; otherwise they are copied from the fits.
-    """
-    counts = [len(f.eval_vectors) for f in fits]
-    if nodes is None:
-        nodes = np.concatenate([f.nodes for f in fits])
-        members = np.arange(len(nodes))
-    return FitTable(
-        mode=fits[0].mode, kernel=fits[0].kernel, surface=fits[0].surface,
-        nodes=nodes, members=members, offsets=np.cumsum([0] + counts),
-        eval_vectors=np.concatenate([f.eval_vectors.T for f in fits],
-                                    axis=1),
-        sign=np.array([f.sign for f in fits]),
-        fit_residual=np.array([f.fit_residual for f in fits]))
-
-
 def _solve_spd(a, rhs, patch_id):
     try:
         factor = sla.cho_factor(a, lower=False, check_finite=False)
@@ -379,13 +337,12 @@ def _solve_spd(a, rhs, patch_id):
     return sla.cho_solve(factor, rhs, check_finite=False)
 
 
-def fit_patch(nodes, values, kernel, surface, mode, frames=None,
-              patch_id=None):
+def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     """Solve the local system on samples that passed ``check_samples``.
 
-    ``frames`` overrides the surface's tangent frames (any orthonormal
-    frame yields the same interpolant; only the coefficient parametrization
-    changes).
+    Returns the patch's eval vectors as a row-major (d, n) array, its sign
+    and its fit residual, the relative max-norm residual of the solved
+    system.
     """
     n = len(nodes)
     if mode == "curl_euclidean":
@@ -395,8 +352,7 @@ def fit_patch(nodes, values, kernel, surface, mode, frames=None,
         evec = sol.reshape(n, nodes.shape[1])
         sign = -1.0
     else:
-        if frames is None:
-            frames = surface.tangent_frames(nodes)
+        frames = surface.tangent_frames(nodes)
         d, e, normal = frames
         a = assemble_system(kernel, surface, nodes, mode, frames=frames)
         rhs = (np.stack([d, e], axis=1) * values[:, None, :]).sum(-1).ravel()
@@ -412,12 +368,27 @@ def fit_patch(nodes, values, kernel, surface, mode, frames=None,
     miss = (a @ sol - rhs).reshape(n, -1)
     scale = float(np.sqrt((values * values).sum(-1)).max())
     worst = float(np.sqrt((miss * miss).sum(-1)).max())
+    residual = worst / scale if scale > 0 else worst
+    return np.ascontiguousarray(evec.T), sign, residual
+
+
+def fit_table(nodes, values, member_index, counts, kernel, surface, mode):
+    """Fit every patch and return the ``FitTable`` of the fits.
+
+    Patch l holds the next ``counts[l]`` entries of ``member_index``, the
+    rows of ``nodes`` and ``values`` (samples that passed
+    ``check_samples``) it is fit on; the table reads its nodes through
+    ``member_index``.  Patches are fit serially, in order.
+    """
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    solved = [fit_patch(nodes[idx], values[idx], kernel, surface, mode,
+                        patch_id=l)
+              for l, idx in enumerate(np.split(member_index, offsets[1:-1]))]
+    evecs, sign, residual = zip(*solved)
     return FitTable(mode=mode, kernel=kernel, surface=surface, nodes=nodes,
-                    members=np.arange(n), offsets=np.array([0, n]),
-                    eval_vectors=np.ascontiguousarray(evec.T),
-                    sign=np.array([sign]),
-                    fit_residual=np.array([worst / scale if scale > 0
-                                           else worst]))[0]
+                    members=member_index, offsets=offsets,
+                    eval_vectors=np.concatenate(evecs, axis=1),
+                    sign=np.array(sign), fit_residual=np.array(residual))
 
 
 def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
@@ -427,4 +398,5 @@ def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
         raise GlobalFitSizeError(
             f"global dense fit limited to {guard} nodes, got {len(nodes)}")
     nodes, values = check_samples(nodes, values, surface, mode)
-    return fit_patch(nodes, values, kernel, surface, mode, patch_id="global")
+    return fit_table(nodes, values, np.arange(len(nodes)), [len(nodes)],
+                     kernel, surface, mode)[0]

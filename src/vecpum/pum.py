@@ -34,29 +34,34 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import FitTable, check_samples, fit_patch, stack_fits
+from .localfit import FitTable, check_samples, fit_table
 
 
-@dataclass
+@dataclass(frozen=True)
 class PumApproximant:
-    """An assembled partition-of-unity approximant (immutable after build).
+    """An assembled partition-of-unity approximant (immutable).
 
-    ``fits`` is a ``FitTable``; a list of ``LocalFit`` is stacked into one.
+    ``fits`` is the ``FitTable`` of the cover's patches; its mode and
+    surface are the approximant's.
     """
 
     cover: object
     fits: FitTable
     shifts: object
-    surface: geometry.Surface
-    mode: str
 
     def __post_init__(self):
         n_patch = len(self.cover)
         if not (len(self.fits) == n_patch == len(self.shifts.shifts)):
             raise ValueError("cover, fits, and shifts disagree on the "
                              "number of patches")
-        if not isinstance(self.fits, FitTable):
-            self.fits = stack_fits(self.fits)
+
+    @property
+    def surface(self):
+        return self.fits.surface
+
+    @property
+    def mode(self):
+        return self.fits.mode
 
     def _accumulate(self, points):
         """Per-point sums of kappa, grad kappa, kappa*raw field,
@@ -135,9 +140,9 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     """Fit every patch, glue the potentials, and return the approximant.
 
     ``values`` are the field samples at ``cover.nodes``, checked once.
-    Patches are fit serially; threads are used for batch evaluation only.
-    The fits go into one ``FitTable`` that reads their nodes through the
-    cover's member index, and the per-patch solutions are dropped.
+    Patches are fit serially, straight into one ``FitTable`` that reads
+    their nodes through the cover's member index; threads are used for
+    batch evaluation only.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -147,13 +152,10 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
     nodes, values = check_samples(cover.nodes, values, surface, mode)
-    fits = stack_fits([fit_patch(nodes[idx], values[idx], kernel, surface,
-                                 mode, patch_id=l)
-                       for l, idx in enumerate(cover.members)],
-                      nodes, cover.member_index)
+    fits = fit_table(nodes, values, cover.member_index, cover.member_counts(),
+                     kernel, surface, mode)
     graph = glue_mod.build_glue_graph(cover, surface)
     p, c = glue_mod.build_shift_system(graph, fits)
     solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
-    approx = PumApproximant(cover=cover, fits=fits, shifts=solution,
-                            surface=surface, mode=mode)
+    approx = PumApproximant(cover=cover, fits=fits, shifts=solution)
     return approx, graph, solution

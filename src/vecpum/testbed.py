@@ -333,6 +333,9 @@ def star_problem():
         return geometry.embed_points(
             cover.centers_plane(STAR_BBOX, inside_star, h))
 
+    # area=6.0 sets the patch spacing H only; the node spacing comes from
+    # STAR_AREA (the measured 5.754).  It stays 6.0 because changing it
+    # moves every seeded star output.
     return TestProblem(name="star2d", surface=geometry.plane2d(),
                        mode="div_surface", area=6.0, potential=pot3,
                        field=field3, potential_sign=1.0, nodes=nodes3,

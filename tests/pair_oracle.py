@@ -1,6 +1,7 @@
-"""Dense evaluation of one local fit at a batch of points.
+"""Dense evaluation of one local fit at a batch of points, and the fit's
+coefficients read back from its eval vectors.
 
-This is the arithmetic ``LocalFit`` used before the pair kernel
+The evaluation is the arithmetic ``LocalFit`` used before the pair kernel
 (``FitTable.pair_sums``): one (points, nodes, d) difference array per fit,
 a pairwise row sum for the potential and an ordered sum over the node axis
 for the field.  The kernel must reproduce it bit for bit.
@@ -33,6 +34,24 @@ def field_potential(fit, points):
     raw = fit.sign * (f[:, :, None] * evec[None, :, :] +
                       (s * proj)[:, :, None] * diff).sum(axis=1)
     return pot, raw
+
+
+def coef_vectors(fit):
+    """The fit's expansion coefficients c_j: its eval vectors, or for
+    div-free fits c_j = (n_j x c_j) x n_j of the tangent c_j."""
+    if fit.mode != "div_surface":
+        return fit.eval_vectors
+    return np.cross(fit.eval_vectors, fit.surface.normals(fit.nodes))
+
+
+def alpha_beta(fit):
+    """The coefficients' components in the surface's tangent frames at the
+    fit's nodes; None in flat space."""
+    if fit.mode == "curl_euclidean":
+        return None
+    d, e, _ = fit.surface.tangent_frames(fit.nodes)
+    coef = coef_vectors(fit)
+    return np.stack([(coef * d).sum(-1), (coef * e).sum(-1)], axis=1)
 
 
 def same_bits(a, b):

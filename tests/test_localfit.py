@@ -10,8 +10,8 @@ from vecpum.cover import Cover
 from vecpum.errors import ConfigError, GlobalFitSizeError, PatchFitError
 from vecpum.kernels import RadialKernel
 from vecpum.localfit import (assemble_system, check_samples, fit_global,
-                             fit_patch, phi_curl_block, phi_div_block,
-                             stack_fits)
+                             fit_patch, fit_table, phi_curl_block,
+                             phi_div_block)
 from vecpum.pum import build_approximant
 
 PLANE = geometry.plane2d()
@@ -34,6 +34,13 @@ def _phi_div_2d(eps, dx, dy):
     fxx, fyy, fxy = _sympy_imq_second_derivs(eps)
     return np.array([[-fyy(dx, dy), fxy(dx, dy)],
                      [fxy(dx, dy), -fxx(dx, dy)]])
+
+
+def fit_one(nodes, values, kernel, surface, mode):
+    """The fit of one patch holding every node."""
+    n = len(nodes)
+    return fit_table(nodes, values, np.arange(n), [n], kernel, surface,
+                     mode)[0]
 
 
 def random_sphere_patch(rng, n, cap=0.5):
@@ -117,9 +124,9 @@ def test_phi_curl_block_euclidean():
 def test_fit_zero_samples_gives_zero_coefficients():
     rng = np.random.default_rng(1)
     pts, _ = random_plane_patch(rng, 8)
-    fit = fit_patch(pts, np.zeros_like(pts), RadialKernel("imq", 2.0), PLANE,
-                    "div_surface")
-    assert np.abs(fit.coef_vectors).max() == 0.0
+    fit = fit_one(pts, np.zeros_like(pts), RadialKernel("imq", 2.0), PLANE,
+                  "div_surface")
+    assert np.abs(pair_oracle.coef_vectors(fit)).max() == 0.0
     assert fit.fit_residual == 0.0
 
 
@@ -138,9 +145,9 @@ def test_small_system_brute_force_oracle(n):
             dx, dy = nodes2[i] - nodes2[j]
             a[2 * i:2 * i + 2, 2 * j:2 * j + 2] = _phi_div_2d(eps, dx, dy)
     expect = np.linalg.solve(a, vals2.reshape(-1))
-    fit = fit_patch(geometry.embed_points(nodes2),
-                    geometry.embed_points(vals2), k, PLANE, "div_surface")
-    got = fit.alpha_beta.reshape(-1)
+    fit = fit_one(geometry.embed_points(nodes2),
+                  geometry.embed_points(vals2), k, PLANE, "div_surface")
+    got = pair_oracle.alpha_beta(fit).reshape(-1)
     assert np.abs(got - expect).max() < 1e-10
 
 
@@ -180,12 +187,13 @@ def interpolation_case(case, rng):
 def test_interpolation_reproduces_samples(case):
     rng = np.random.default_rng(20 + INTERPOLATION_CASES.index(case))
     pts, vals, surface, mode, k = interpolation_case(case, rng)
-    fit = fit_patch(pts, vals, k, surface, mode)
+    fit = fit_one(pts, vals, k, surface, mode)
     assert fit.fit_residual <= 1e-8
     if mode != "curl_euclidean":
         # coefficient vectors stay tangent at their nodes
         normals = surface.normals(pts)
-        assert np.abs((normals * fit.coef_vectors).sum(-1)).max() < 1e-8
+        assert np.abs((normals * pair_oracle.coef_vectors(fit)).sum(-1)
+                      ).max() < 1e-8
         # evaluated field is tangent off the nodes too
         probe = random_sphere_patch(rng, 10)[0] if surface is SPHERE \
             else random_plane_patch(rng, 10)[0]
@@ -201,7 +209,7 @@ def test_evaluator_reproduces_samples(case):
     # by the blend must reproduce the samples to the same accuracy.
     rng = np.random.default_rng(40 + INTERPOLATION_CASES.index(case))
     pts, vals, surface, mode, k = interpolation_case(case, rng)
-    fit = fit_patch(pts, vals, k, surface, mode)
+    fit = fit_one(pts, vals, k, surface, mode)
     miss = fit.field_at(pts) - vals
     rel = (np.sqrt((miss * miss).sum(-1)).max() /
            np.sqrt((vals * vals).sum(-1)).max())
@@ -236,11 +244,12 @@ def test_single_node_unit_coefficient_gives_kernel_column():
     k = RadialKernel("imq", 2.0)
     node = np.array([[0.2, -0.1, 0.0]])
     val = np.array([[0.7, 0.4, 0.0]])
-    fit = fit_patch(node, val, k, PLANE, "div_surface")
+    fit = fit_one(node, val, k, PLANE, "div_surface")
     rng = np.random.default_rng(9)
     for _ in range(5):
         x = geometry.embed_points(rng.uniform(-1, 1, size=(1, 2)))[0]
-        expect = phi_div_block(k, PLANE, x, node[0]) @ fit.coef_vectors[0]
+        expect = (phi_div_block(k, PLANE, x, node[0]) @
+                  pair_oracle.coef_vectors(fit)[0])
         assert np.abs(fit.field_at(x[None])[0] - expect).max() < 1e-12
 
 
@@ -249,8 +258,9 @@ def test_plane_fit_matches_truncated_evaluation():
     k = RadialKernel("imq", eps)
     rng = np.random.default_rng(10)
     pts, vals = random_plane_patch(rng, 25)
-    fit = fit_patch(pts, vals, k, PLANE, "div_surface")
+    fit = fit_one(pts, vals, k, PLANE, "div_surface")
     fxx, fyy, fxy = _sympy_imq_second_derivs(eps)
+    alpha_beta = pair_oracle.alpha_beta(fit)
     probes = rng.uniform(-1, 1, size=(100, 2))
     for p in probes:
         acc = np.zeros(2)
@@ -258,7 +268,7 @@ def test_plane_fit_matches_truncated_evaluation():
             dx, dy = p - pts[j, :2]
             tilde = np.array([[-fyy(dx, dy), fxy(dx, dy)],
                               [fxy(dx, dy), -fxx(dx, dy)]])
-            acc += tilde @ fit.alpha_beta[j]
+            acc += tilde @ alpha_beta[j]
         got = fit.field_at(geometry.embed_points(p[None]))[0]
         assert np.abs(got[:2] - acc).max() < 1e-10
         assert got[2] == 0.0
@@ -281,7 +291,7 @@ def test_potential_consistency_div_modes():
                           (SPHERE, random_sphere_patch)]:
         pts, vals = make(rng, 30)
         k = RadialKernel("matern4", 4.0)
-        fit = fit_patch(pts, vals, k, surface, "div_surface")
+        fit = fit_one(pts, vals, k, surface, "div_surface")
         probes = make(rng, 20)[0]
         step = 1e-5
         fld = fit.field_at(probes)
@@ -301,8 +311,8 @@ def test_potential_consistency_curl_euclidean():
     rng = np.random.default_rng(14)
     pts = rng.uniform(-1, 1, size=(30, 3))
     vals = rng.normal(size=(30, 3))
-    fit = fit_patch(pts, vals, RadialKernel("imq", 2.0), R3,
-                    "curl_euclidean")
+    fit = fit_one(pts, vals, RadialKernel("imq", 2.0), R3,
+                  "curl_euclidean")
     probes = rng.uniform(-1, 1, size=(20, 3))
     fld = fit.field_at(probes)
     scale = np.sqrt((fld * fld).sum(-1)).max()
@@ -321,22 +331,37 @@ def test_potential_consistency_curl_euclidean():
 def test_zero_coefficients_zero_potential():
     rng = np.random.default_rng(15)
     pts, _ = random_plane_patch(rng, 6)
-    fit = fit_patch(pts, np.zeros_like(pts),
-                    RadialKernel("imq", 1.0), PLANE, "div_surface")
+    fit = fit_one(pts, np.zeros_like(pts),
+                  RadialKernel("imq", 1.0), PLANE, "div_surface")
     assert np.abs(fit.potential_at(pts)).max() == 0.0
+
+
+class TurnedFrames:
+    """The sphere, with the tangent frame at node j turned by ``theta[j]``
+    in its tangent plane; it records the points it gave frames for."""
+
+    def __init__(self, theta):
+        self.theta = theta
+        self.framed = []
+
+    def __getattr__(self, name):
+        return getattr(SPHERE, name)
+
+    def tangent_frames(self, points):
+        self.framed.append(points)
+        d, e, n = SPHERE.tangent_frames(points)
+        c, s = np.cos(self.theta), np.sin(self.theta)
+        return c * d + s * e, -s * d + c * e, n
 
 
 def test_frame_independence_on_sphere():
     rng = np.random.default_rng(16)
     pts, vals = random_sphere_patch(rng, 35)
     k = RadialKernel("matern4", 7.5)
-    fit_a = fit_patch(pts, vals, k, SPHERE, "div_surface")
-    d, e, n = SPHERE.tangent_frames(pts)
-    theta = rng.uniform(0, 2 * np.pi, size=len(pts))[:, None]
-    d2 = np.cos(theta) * d + np.sin(theta) * e
-    e2 = -np.sin(theta) * d + np.cos(theta) * e
-    fit_b = fit_patch(pts, vals, k, SPHERE, "div_surface",
-                      frames=(d2, e2, n))
+    fit_a = fit_one(pts, vals, k, SPHERE, "div_surface")
+    turned = TurnedFrames(rng.uniform(0, 2 * np.pi, size=len(pts))[:, None])
+    fit_b = fit_one(pts, vals, k, turned, "div_surface")
+    assert any(np.array_equal(p, pts) for p in turned.framed)
     probes = random_sphere_patch(rng, 40)[0]
     fa = fit_a.field_at(probes)
     fb = fit_b.field_at(probes)
@@ -350,8 +375,8 @@ def test_frame_independence_on_sphere():
 def test_divergence_free_by_finite_differences():
     rng = np.random.default_rng(17)
     pts, vals = random_sphere_patch(rng, 30)
-    fit = fit_patch(pts, vals, RadialKernel("imq", 3.0), SPHERE,
-                    "div_surface")
+    fit = fit_one(pts, vals, RadialKernel("imq", 3.0), SPHERE,
+                  "div_surface")
     probes = random_sphere_patch(rng, 15)[0]
     scale = np.sqrt((fit.field_at(probes) ** 2).sum(-1)).max()
     for x in probes:
@@ -363,8 +388,8 @@ def test_curl_free_by_finite_differences():
     rng = np.random.default_rng(18)
     pts = rng.uniform(-1, 1, size=(30, 3))
     vals = rng.normal(size=(30, 3))
-    fit = fit_patch(pts, vals, RadialKernel("imq", 2.0), R3,
-                    "curl_euclidean")
+    fit = fit_one(pts, vals, RadialKernel("imq", 2.0), R3,
+                  "curl_euclidean")
     probes = rng.uniform(-0.8, 0.8, size=(15, 3))
     scale = np.sqrt((fit.field_at(probes) ** 2).sum(-1)).max()
     step = 1e-5
@@ -384,9 +409,10 @@ def test_fit_global_equivalence_and_guard():
     rng = np.random.default_rng(19)
     pts, vals = random_plane_patch(rng, 30)
     k = RadialKernel("imq", 3.0)
-    a = fit_patch(pts, vals, k, PLANE, "div_surface")
+    a = fit_one(pts, vals, k, PLANE, "div_surface")
     b = fit_global(pts, vals, k, PLANE, "div_surface")
-    assert np.array_equal(a.coef_vectors, b.coef_vectors)
+    assert np.array_equal(pair_oracle.coef_vectors(a),
+                          pair_oracle.coef_vectors(b))
     big = (np.zeros((5001, 3)) + np.arange(5001)[:, None],
            np.zeros((5001, 3)))
     with pytest.raises(GlobalFitSizeError):
@@ -528,13 +554,28 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     monkeypatch.setattr(localfit, "PAIR_CHUNK", chunk)
     surface, mode, kernel = PAIR_CASES[case]
     rng = np.random.default_rng(sorted(PAIR_CASES).index(case))
-    fits = [fit_patch(*pair_case_samples(surface, rng, n), kernel, surface,
-                      mode) for n in (1, 9, 57, 23)]
-    table = stack_fits(fits)
+    sizes = (1, 9, 57, 23)
+    samples = [pair_case_samples(surface, rng, n) for n in sizes]
     probes = pair_case_samples(surface, rng, 13)[0]
+    # The table reads each patch's samples through a shuffled member index;
+    # it holds what fit_patch solves for each patch alone.
+    member_index = rng.permutation(sum(sizes))
+    nodes = np.empty((sum(sizes), surface.dim))
+    values = np.empty_like(nodes)
+    nodes[member_index] = np.concatenate([pts for pts, _ in samples])
+    values[member_index] = np.concatenate([vals for _, vals in samples])
+    table = fit_table(nodes, values, member_index, sizes, kernel, surface,
+                      mode)
+    fits = list(table)
+    assert len(fits) == len(sizes)
+    for fit, (pts, vals) in zip(fits, samples):
+        evec, sign, residual = fit_patch(pts, vals, kernel, surface, mode)
+        assert pair_oracle.same_bits(fit.nodes, pts)
+        assert pair_oracle.same_bits(fit.eval_vectors, evec.T)
+        assert (fit.sign, fit.fit_residual) == (sign, residual)
     want = [pair_oracle.field_potential(f, probes) for f in fits]
     want_psi = [pair_oracle.potential(f, probes) for f in fits]
-    for fit, (pot, raw), psi in zip(table, want, want_psi):
+    for fit, (pot, raw), psi in zip(fits, want, want_psi):
         assert pair_oracle.same_bits(pot, psi)
         got = fit.field_potential_at(probes)
         assert pair_oracle.same_bits(got[0], pot)
@@ -560,21 +601,22 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
 
 
 def test_coefficients_derive_from_eval_vectors():
-    # coef_vectors are read back from the eval vectors and alpha_beta are
-    # their frame components, so the frames rebuild the coefficients.
+    # The coefficients read back from the eval vectors are tangent, and
+    # their frame components rebuild them.
     rng = np.random.default_rng(23)
     pts, vals = random_sphere_patch(rng, 30)
     k = RadialKernel("matern4", 7.5)
     d, e, n = SPHERE.tangent_frames(pts)
     for mode in ("div_surface", "curl_surface"):
-        fit = fit_patch(pts, vals, k, SPHERE, mode)
-        coef = fit.coef_vectors
+        fit = fit_one(pts, vals, k, SPHERE, mode)
+        coef = pair_oracle.coef_vectors(fit)
         scale = np.abs(coef).max()
         assert np.abs((coef * n).sum(-1)).max() <= 1e-15 * scale
-        ab = fit.alpha_beta
+        ab = pair_oracle.alpha_beta(fit)
         assert np.abs(ab[:, :1] * d + ab[:, 1:] * e - coef).max() \
             <= 1e-15 * scale
-    fit = fit_patch(pts, vals, RadialKernel("imq", 2.0), R3,
-                    "curl_euclidean")
-    assert fit.alpha_beta is None
-    assert np.shares_memory(fit.coef_vectors, fit.table.eval_vectors)
+    fit = fit_one(pts, vals, RadialKernel("imq", 2.0), R3,
+                  "curl_euclidean")
+    assert pair_oracle.alpha_beta(fit) is None
+    assert np.shares_memory(pair_oracle.coef_vectors(fit),
+                            fit.table.eval_vectors)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import platform
 import re
@@ -8,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import pair_oracle
 import vecpum
 from vecpum import cover, geometry, glue, localfit, pum, testbed
 from vecpum.errors import CoverageError
@@ -78,8 +80,7 @@ def test_common_shift_moves_potential_exactly():
                                  residual=solution.residual,
                                  anchor=solution.anchor)
     approx2 = PumApproximant(cover=approx.cover, fits=approx.fits,
-                             shifts=shifted, surface=PLANE,
-                             mode="div_surface")
+                             shifts=shifted)
     pot1, field1 = approx2.batch_eval(pts)
     assert np.abs(pot1 - pot0 - 2.75).max() < 1e-12
     scale = np.sqrt((field0**2).sum(-1)).max()
@@ -212,6 +213,8 @@ def test_fits_live_in_one_table(request, name):
         assert not any(isinstance(v, np.ndarray) for v in vars(fit).values())
         assert np.array_equal(fit.nodes, cov.nodes[idx])
     assert not table.eval_vectors.flags.writeable
+    # The pair kernel reads the table row by row (one coordinate at a time).
+    assert table.eval_vectors.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", ["plane", "sphere"])
@@ -317,12 +320,19 @@ def test_identical_potentials_zero_correction():
     kernel = RadialKernel("imq", 7.0)
     approx, graph, solution = build_approximant(cov, kernel, PLANE,
                                                 "div_surface", values)
-    one = fit_global(nodes, values, kernel, PLANE, "div_surface")
-    same = PumApproximant(cover=cov, fits=[one] * len(cov),
+    one = fit_global(nodes, values, kernel, PLANE, "div_surface").table
+    # L copies of the one fit, all reading the same nodes.
+    n_patch, n_node = len(cov), len(one.members)
+    copies = dataclasses.replace(
+        one, members=np.tile(one.members, n_patch),
+        offsets=n_node * np.arange(n_patch + 1),
+        eval_vectors=np.tile(one.eval_vectors, n_patch),
+        sign=np.repeat(one.sign, n_patch),
+        fit_residual=np.repeat(one.fit_residual, n_patch))
+    same = PumApproximant(cover=cov, fits=copies,
                           shifts=glue.ShiftSolution(
-                              shifts=np.zeros(len(cov)),
-                              residual=np.zeros(0), anchor=0),
-                          surface=PLANE, mode="div_surface")
+                              shifts=np.zeros(n_patch),
+                              residual=np.zeros(0), anchor=0))
     pts = star_points(60, seed=15)
     pot, field, naive = same.batch_eval_all(pts)
     scale = np.sqrt((field**2).sum(-1)).max()
@@ -478,10 +488,10 @@ def test_anchor_invariance_of_reconstruction():
     assert np.ptp(diff) < 1e-9 * max(1.0, np.abs(sol_a.shifts).max())
     pts = star_points(80, seed=22)
     pts = pts[cov.covers(pts)][:60]
-    fa = PumApproximant(cover=cov, fits=approx.fits, shifts=sol_a,
-                        surface=PLANE, mode="div_surface").batch_eval(pts)[1]
-    fb = PumApproximant(cover=cov, fits=approx.fits, shifts=sol_b,
-                        surface=PLANE, mode="div_surface").batch_eval(pts)[1]
+    fa = PumApproximant(cover=cov, fits=approx.fits,
+                        shifts=sol_a).batch_eval(pts)[1]
+    fb = PumApproximant(cover=cov, fits=approx.fits,
+                        shifts=sol_b).batch_eval(pts)[1]
     scale = np.sqrt((fa**2).sum(-1)).max()
     assert np.abs(fa - fb).max() <= 1e-10 * scale
 
@@ -515,7 +525,8 @@ def test_workers_do_not_change_results():
     threaded, sol2 = fit_and_glue(
         problem, nodes, values, default_config("star2d", eps=7.0, workers=4))
     for a, b in zip(serial.fits, threaded.fits):
-        assert np.array_equal(a.coef_vectors, b.coef_vectors)
+        assert np.array_equal(pair_oracle.coef_vectors(a),
+                              pair_oracle.coef_vectors(b))
     assert np.array_equal(sol1.shifts, sol2.shifts)
     pts = star_points(400, seed=26)
     pts = pts[cov.covers(pts)]
@@ -531,9 +542,26 @@ def test_partition_of_unity_consistency_mismatch_raises():
     kernel = RadialKernel("imq", 7.0)
     approx, graph, solution = build_approximant(cov, kernel, PLANE,
                                                 "div_surface", values)
-    with pytest.raises(ValueError):
-        PumApproximant(cover=cov, fits=approx.fits[:-1],
-                       shifts=solution, surface=PLANE, mode="div_surface")
+    one_patch = cover.single_patch_cover(nodes, PLANE)
+    one_fit = fit_global(nodes, values, kernel, PLANE, "div_surface").table
+    for wrong in ({"cover": one_patch}, {"fits": one_fit}):
+        parts = {"cover": cov, "fits": approx.fits, "shifts": solution}
+        with pytest.raises(ValueError, match="disagree"):
+            PumApproximant(**(parts | wrong))
+
+
+def test_mode_and_surface_are_the_tables(star_approx):
+    # An approximant keeps no copy of its table's mode and surface, so it
+    # cannot be given another mode than its fits were solved in.
+    _, _, approx = star_approx
+    assert approx.mode is approx.fits.mode == "div_surface"
+    assert approx.surface is approx.fits.surface
+    for name in ("cover", "fits", "shifts", "mode", "surface"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(approx, name, getattr(approx, name))
+    with pytest.raises(TypeError):
+        PumApproximant(cover=approx.cover, fits=approx.fits,
+                       shifts=approx.shifts, mode="curl_surface")
 
 
 # Each build in a fresh interpreter; the sphere's per-patch systems (about

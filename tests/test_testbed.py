@@ -33,6 +33,21 @@ def test_inside_star_matches_level_set():
     assert np.array_equal(testbed.inside_star(pts), expect)
 
 
+def test_star_area_matches_grid_estimate():
+    # A 3000 x 3000 midpoint grid over STAR_BBOX gives 5.7594.
+    (x0, y0), (x1, y1) = testbed.STAR_BBOX
+    m = 3000
+    hx, hy = (x1 - x0) / m, (y1 - y0) / m
+    xs = x0 + hx * (np.arange(m) + 0.5)
+    ys = y0 + hy * (np.arange(m) + 0.5)
+    inside = 0
+    for rows in np.array_split(ys, 10):
+        gx, gy = np.meshgrid(xs, rows)
+        inside += int(testbed.inside_star(
+            np.stack([gx.ravel(), gy.ravel()], axis=1)).sum())
+    assert inside * hx * hy == pytest.approx(testbed.STAR_AREA, rel=5e-3)
+
+
 def test_u1_matches_fd_surface_curl():
     pts = star_interior(1000, seed=0)
     step = 1e-6
