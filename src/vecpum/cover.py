@@ -4,8 +4,10 @@ A cover is a set of ball-shaped patches (disks in the plane, spherical caps
 on the sphere, balls in R^3) whose centers come from a lattice of spacing H
 restricted to the domain, with radii proportional to H.  Every sample node
 must land strictly inside at least one patch; nodes missed by the initial
-radii inflate their nearest patch.  Weights are Shepard quotients of a C^1
-quadratic B-spline bump, with analytic gradients.
+radii inflate their nearest patch.  The cover owns patch membership: fit
+tables, glue graphs and approximants read it from their cover and keep no
+copy.  Weights are Shepard quotients of a C^1 quadratic B-spline bump, with
+analytic gradients.
 """
 
 from dataclasses import dataclass, field
@@ -124,14 +126,16 @@ def _kappa_prime_over_r(r):
 
 @dataclass
 class Cover:
-    """Immutable patch cover over a node set.
+    """Immutable patch cover over a node set; the one owner of patch
+    membership.
 
-    ``members[l]`` indexes the nodes strictly inside patch l; the members
-    are consecutive views of one flat index, ``member_index``.  ``tree``
-    indexes the patch centers and ``edges`` holds the overlapping patch
-    pairs (``patch_graph_edges``).  Construction raises ConfigError unless
-    every patch has members, and CoverConnectivityError on a disconnected
-    patch graph.
+    Membership is held once, in CSR form: patch l's members, the nodes
+    strictly inside it, are ``member_index[offsets[l]:offsets[l + 1]]``,
+    and ``members[l]`` is that slice as a view.  Both arrays are read-only.
+    ``tree`` indexes the patch centers and ``edges`` holds the overlapping
+    patch pairs (``patch_graph_edges``).  Construction raises ConfigError
+    unless every patch has members, and CoverConnectivityError on a
+    disconnected patch graph.
     """
 
     centers: np.ndarray
@@ -139,6 +143,7 @@ class Cover:
     members: list
     nodes: np.ndarray
     member_index: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
     tree: cKDTree = field(init=False, repr=False)
     edges: np.ndarray = field(init=False, repr=False)
 
@@ -147,8 +152,11 @@ class Cover:
             raise ConfigError("a cover needs at least one patch and member "
                               "nodes in every patch")
         self.member_index = np.concatenate(self.members)
-        self.members = np.split(self.member_index,
-                                np.cumsum(self.member_counts())[:-1])
+        self.offsets = np.concatenate(
+            ([0], np.cumsum([len(idx) for idx in self.members])))
+        for owned in (self.member_index, self.offsets):
+            owned.flags.writeable = False
+        self.members = np.split(self.member_index, self.offsets[1:-1])
         self.tree = cKDTree(self.centers)
         self.edges = patch_graph_edges(self.centers, self.radii, self.tree)
         m = len(self.centers)
@@ -166,7 +174,7 @@ class Cover:
         return len(self.centers)
 
     def member_counts(self):
-        return np.array([len(idx) for idx in self.members])
+        return np.diff(self.offsets)
 
     def incidence(self, points):
         """The (point, patch) pairs of finite points with the point
@@ -318,13 +326,3 @@ def weights_at(cover, x):
     grad_w = grad_k / total - w[:, None] * (grad_total / total)
     return WeightEval(indices=idx, weights=w, gradients=grad_w)
 
-
-def dump_cover(cover, path):
-    """Diagnostic dump: one line per patch, `x y z radius n_members`."""
-    with open(path, "w") as fh:
-        for center, radius, idx in zip(cover.centers, cover.radii,
-                                       cover.members):
-            c = np.zeros(3)
-            c[: len(center)] = center
-            fh.write(f"{c[0]:.17g} {c[1]:.17g} {c[2]:.17g} "
-                     f"{radius:.17g} {len(idx)}\n")

@@ -178,10 +178,9 @@ def fit_and_glue(problem, nodes, values, config):
     centers = problem.make_centers(h)
     cov = assign_radii_and_inflate(centers, nodes, config.delta,
                                    problem.surface, h)
-    approx, _, solution = build_approximant(
-        cov, kernel, problem.surface, problem.mode, values,
-        gamma=config.gamma)
-    return approx, solution
+    approx = build_approximant(cov, kernel, problem.surface, problem.mode,
+                               values, gamma=config.gamma)
+    return approx, approx.shifts
 
 
 def _run_trial(problem, config, n_req, trial, nodes, values, eval_pts,
@@ -211,7 +210,7 @@ def _run_trial(problem, config, n_req, trial, nodes, values, eval_pts,
         n_requested=n_req, n_actual=len(nodes), trial=trial,
         err_field_inf=e_inf, err_field_2=e_two,
         err_pot_inf=p_inf, err_pot_2=p_two, glue_res_inf=res_inf,
-        max_fit_residual=max(f.fit_residual for f in approx.fits),
+        max_fit_residual=float(approx.fits.fit_residual.max()),
         n_eval_used=len(pts), n_eval_dropped=int((~mask).sum()),
         t_fit_ms=(t1 - t0) * 1e3, t_eval_ms=(t2 - t1) * 1e3)
 

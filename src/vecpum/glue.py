@@ -5,7 +5,8 @@ point per overlapping patch pair carries the condition
 psi_l(x) + b_l = psi_k(x) + b_k, collected into the sparse incidence system
 P b = c whose rank is (patch count - 1) on a connected cover.  The shifts b
 come from (optionally weighted) graph-Laplacian normal equations with one
-anchor shift pinned to zero.
+anchor shift pinned to zero.  The glue graph reads its edges, patch count
+and member counts from its cover.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .cover import Cover
+
 # Above this many patches the anchored normal equations are solved by a
 # sparse LU factorization instead of a dense Cholesky.
 DENSE_SOLVE_MAX = 6000
@@ -22,14 +25,16 @@ DENSE_SOLVE_MAX = 6000
 
 @dataclass
 class GlueGraph:
-    """Overlap edges (l < k), their glue points, and per-edge near-center
-    distances used by the least-squares weighting."""
+    """The overlap edges (l < k) of ``cover``, their glue points, and
+    per-edge near-center distances used by the least-squares weighting."""
 
-    edges: np.ndarray
+    cover: Cover
     points: np.ndarray
     r_near: np.ndarray
-    n_patches: int
-    member_counts: np.ndarray
+
+    @property
+    def edges(self):
+        return self.cover.edges
 
     def __len__(self):
         return len(self.edges)
@@ -66,9 +71,8 @@ def build_glue_graph(cover, surface):
     points = surface.project(points)
     dist_l = np.sqrt(((points - xl) ** 2).sum(-1))
     dist_k = np.sqrt(((points - xk) ** 2).sum(-1))
-    return GlueGraph(edges=edges, points=points,
-                     r_near=np.minimum(dist_l, dist_k), n_patches=len(cover),
-                     member_counts=cover.member_counts())
+    return GlueGraph(cover=cover, points=points,
+                     r_near=np.minimum(dist_l, dist_k))
 
 
 def build_shift_system(graph, fits):
@@ -79,7 +83,7 @@ def build_shift_system(graph, fits):
     potentials of ``fits`` (a ``FitTable``), all edge ends in one call.
     """
     n_edges = len(graph.edges)
-    m = graph.n_patches
+    m = len(graph.cover)
     rows = np.repeat(np.arange(n_edges), 2)
     cols = graph.edges.reshape(-1)
     data = np.tile([1.0, -1.0], n_edges)
@@ -107,9 +111,9 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
     index on ties); shifting all b_l by a common constant does not change
     the blended field, so the anchor choice only fixes the gauge.
     """
-    m = graph.n_patches
+    m = len(graph.cover)
     if anchor is None:
-        anchor = int(np.argmax(graph.member_counts))
+        anchor = int(np.argmax(graph.cover.member_counts()))
     if len(c) == 0:
         return ShiftSolution(shifts=np.zeros(m), residual=np.zeros(0),
                              anchor=anchor)
@@ -130,14 +134,3 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
     return ShiftSolution(shifts=shifts, residual=p @ shifts - c,
                          anchor=anchor)
 
-
-def dump_glue(graph, c, solution, path):
-    """Diagnostic dump: one line per edge,
-    `l k x y z r_near c_i residual_i`."""
-    with open(path, "w") as fh:
-        for i, (l, k) in enumerate(graph.edges):
-            pt = np.zeros(3)
-            pt[: graph.points.shape[1]] = graph.points[i]
-            fh.write(f"{l} {k} {pt[0]:.17g} {pt[1]:.17g} {pt[2]:.17g} "
-                     f"{graph.r_near[i]:.17g} {c[i]:.17g} "
-                     f"{solution.residual[i]:.17g}\n")

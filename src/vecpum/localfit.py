@@ -8,12 +8,14 @@ block matrix of -H.  All systems are symmetric positive definite for the
 shipped kernels and are solved by Cholesky factorization; failures surface
 as PatchFitError rather than being regularized away.
 
-``fit_table`` solves every patch (``fit_patch`` solves one) straight into
-one ``FitTable``: the eval vectors of all patches in one (d, T) table, patch
-after patch with no padding, and node coordinates read through a flat
-member index.  Its pair kernel ``pair_sums`` is the one evaluator: it forms
-each (point, patch) pair's node terms in chunks of at most ``PAIR_CHUNK``
-terms and sums them without BLAS.  Field sums are ``bincount``s, which
+``fit_table`` solves every patch of a cover (``fit_patch`` solves one)
+straight into one ``FitTable``: the eval vectors of all patches in one
+(d, T) table, patch after patch with no padding, laid out as the cover's
+CSR membership, through which the table reads its node coordinates.  The
+expansion's sign follows from the mode.  The table's pair kernel
+``pair_sums`` is the one evaluator: it forms each (point, patch) pair's
+node terms in chunks of at most ``PAIR_CHUNK`` terms and sums them without
+BLAS.  Field sums are ``bincount``s, which
 add in term order from 0.0; potential sums are ``reduceat`` segments led by
 an explicit 0.0, which reproduce numpy's pairwise row sum.  These are the
 sums a dense evaluation of one fit at a batch of points forms, so a pair's
@@ -28,6 +30,7 @@ from scipy import linalg as sla
 from scipy.spatial import cKDTree
 
 from . import geometry
+from .cover import Cover
 from .errors import GlobalFitSizeError, PatchFitError
 from .kernels import RadialKernel
 
@@ -157,34 +160,33 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
 
 @dataclass(frozen=True, eq=False)
 class FitTable:
-    """Solved expansions of a list of patches, stored patch after patch.
+    """Solved expansions of the patches of ``cover``, patch after patch.
 
-    Patch l owns the table columns ``offsets[l]:offsets[l + 1]``: its nodes
-    are the rows ``members[cols]`` of ``nodes`` and its eval vectors are
-    ``eval_vectors[:, cols]``, Q_j c_j (div-free) or c_j (curl-free) for the
-    expansion coefficients c_j.  ``sign[l]`` is +1 for div-free and -1 for
-    curl-free expansions.  ``table[l]`` is patch l's ``LocalFit`` view.
-    The arrays the table owns (all but ``nodes`` and ``members``, which may
-    be a cover's) are read-only.
+    Patch l owns the table columns ``cols = cover.offsets[l]:offsets[l + 1]``:
+    its nodes are the rows ``cover.member_index[cols]`` of ``cover.nodes``
+    and its eval vectors are ``eval_vectors[:, cols]``, Q_j c_j (div-free)
+    or c_j (curl-free) for the expansion coefficients c_j.  ``table[l]`` is
+    patch l's ``LocalFit`` view.  The arrays the table owns are read-only.
     """
 
     mode: str
     kernel: RadialKernel
     surface: geometry.Surface
-    nodes: np.ndarray
-    members: np.ndarray
-    offsets: np.ndarray
+    cover: Cover
     eval_vectors: np.ndarray
-    sign: np.ndarray
     fit_residual: np.ndarray
 
     def __post_init__(self):
-        for owned in (self.offsets, self.eval_vectors, self.sign,
-                      self.fit_residual):
+        for owned in (self.eval_vectors, self.fit_residual):
             owned.flags.writeable = False
 
     def __len__(self):
-        return len(self.sign)
+        return len(self.fit_residual)
+
+    @property
+    def sign(self):
+        """+1 for div-free (``div_surface``), -1 for curl-free expansions."""
+        return 1.0 if self.mode == "div_surface" else -1.0
 
     def __getitem__(self, l):
         return LocalFit(self, range(len(self))[l])
@@ -208,8 +210,9 @@ class FitTable:
         """
         points = np.asarray(points, dtype=float)
         patch = np.asarray(patch, dtype=np.intp)
-        first = self.offsets[patch]
-        count = self.offsets[patch + 1] - first
+        offsets = self.cover.offsets
+        first = offsets[patch]
+        count = offsets[patch + 1] - first
         ends = np.cumsum(count)
         pot = np.empty(len(patch))
         raw = np.empty(points.shape) if with_field else None
@@ -220,10 +223,9 @@ class FitTable:
             self._chunk(points[lo:hi], first[lo:hi], count[lo:hi],
                         pot[lo:hi], None if raw is None else raw[lo:hi])
             lo = hi
-        sign = self.sign[patch]
-        pot *= sign
+        pot *= self.sign
         if with_field:
-            raw *= sign[:, None]
+            raw *= self.sign
         return pot, raw
 
     def _chunk(self, points, first, count, pot, raw):
@@ -235,7 +237,8 @@ class FitTable:
         # (dim, n_term) rows: the pair's point minus the term's node, and
         # the term's eval vector.
         dx = np.repeat(points.T, count, axis=1)
-        dx -= np.take(self.nodes, np.take(self.members, cols), axis=0).T
+        dx -= np.take(self.cover.nodes,
+                      np.take(self.cover.member_index, cols), axis=0).T
         ev = np.take(self.eval_vectors, cols, axis=1)
         del cols
         tmp = np.empty(n_term)
@@ -277,8 +280,8 @@ class LocalFit:
 
     @property
     def _cols(self):
-        return slice(self.table.offsets[self.patch],
-                     self.table.offsets[self.patch + 1])
+        offsets = self.table.cover.offsets
+        return slice(offsets[self.patch], offsets[self.patch + 1])
 
     @property
     def mode(self):
@@ -294,7 +297,8 @@ class LocalFit:
 
     @property
     def nodes(self):
-        return self.table.nodes[self.table.members[self._cols]]
+        cov = self.table.cover
+        return cov.nodes[cov.members[self.patch]]
 
     @property
     def eval_vectors(self):
@@ -302,7 +306,7 @@ class LocalFit:
 
     @property
     def sign(self):
-        return float(self.table.sign[self.patch])
+        return self.table.sign
 
     @property
     def fit_residual(self):
@@ -340,9 +344,8 @@ def _solve_spd(a, rhs, patch_id):
 def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     """Solve the local system on samples that passed ``check_samples``.
 
-    Returns the patch's eval vectors as a row-major (d, n) array, its sign
-    and its fit residual, the relative max-norm residual of the solved
-    system.
+    Returns the patch's eval vectors as a row-major (d, n) array and its
+    fit residual, the relative max-norm residual of the solved system.
     """
     n = len(nodes)
     if mode == "curl_euclidean":
@@ -350,7 +353,6 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
         rhs = values.reshape(-1)
         sol = _solve_spd(a, rhs, patch_id)
         evec = sol.reshape(n, nodes.shape[1])
-        sign = -1.0
     else:
         frames = surface.tangent_frames(nodes)
         d, e, normal = frames
@@ -359,36 +361,30 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
         sol = _solve_spd(a, rhs, patch_id)
         alpha_beta = sol.reshape(n, 2)
         coef = alpha_beta[:, 0:1] * d + alpha_beta[:, 1:2] * e
-        if mode == "div_surface":
-            evec, sign = np.cross(normal, coef), 1.0
-        else:
-            evec, sign = coef, -1.0
+        evec = np.cross(normal, coef) if mode == "div_surface" else coef
     # The solved system's residual, one row per node; in the orthonormal
     # frame basis its norm equals the tangent residual in R^3.
     miss = (a @ sol - rhs).reshape(n, -1)
     scale = float(np.sqrt((values * values).sum(-1)).max())
     worst = float(np.sqrt((miss * miss).sum(-1)).max())
     residual = worst / scale if scale > 0 else worst
-    return np.ascontiguousarray(evec.T), sign, residual
+    return np.ascontiguousarray(evec.T), residual
 
 
-def fit_table(nodes, values, member_index, counts, kernel, surface, mode):
-    """Fit every patch and return the ``FitTable`` of the fits.
+def fit_table(cover, values, kernel, surface, mode):
+    """Fit every patch of ``cover`` and return the ``FitTable`` of the fits.
 
-    Patch l holds the next ``counts[l]`` entries of ``member_index``, the
-    rows of ``nodes`` and ``values`` (samples that passed
-    ``check_samples``) it is fit on; the table reads its nodes through
-    ``member_index``.  Patches are fit serially, in order.
+    Patch l is fit on the rows ``cover.members[l]`` of ``cover.nodes`` and
+    ``values`` (samples that passed ``check_samples``).  Patches are fit
+    serially, in order.
     """
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    solved = [fit_patch(nodes[idx], values[idx], kernel, surface, mode,
+    solved = [fit_patch(cover.nodes[idx], values[idx], kernel, surface, mode,
                         patch_id=l)
-              for l, idx in enumerate(np.split(member_index, offsets[1:-1]))]
-    evecs, sign, residual = zip(*solved)
-    return FitTable(mode=mode, kernel=kernel, surface=surface, nodes=nodes,
-                    members=member_index, offsets=offsets,
+              for l, idx in enumerate(cover.members)]
+    evecs, residual = zip(*solved)
+    return FitTable(mode=mode, kernel=kernel, surface=surface, cover=cover,
                     eval_vectors=np.concatenate(evecs, axis=1),
-                    sign=np.array(sign), fit_residual=np.array(residual))
+                    fit_residual=np.array(residual))
 
 
 def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
@@ -398,5 +394,7 @@ def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
         raise GlobalFitSizeError(
             f"global dense fit limited to {guard} nodes, got {len(nodes)}")
     nodes, values = check_samples(nodes, values, surface, mode)
-    return fit_table(nodes, values, np.arange(len(nodes)), [len(nodes)],
-                     kernel, surface, mode)[0]
+    # One patch holding every node; the fit reads only its membership.
+    whole = Cover(centers=nodes[:1], radii=np.array([np.inf]),
+                  members=[np.arange(len(nodes))], nodes=nodes)
+    return fit_table(whole, values, kernel, surface, mode)[0]

@@ -10,6 +10,8 @@ shifted potential by the derivative of its weight:
 with D the surface curl (div-free), surface gradient (curl-free on a
 surface), or plain gradient (flat space).  The naive blend (first term
 alone) is kept for comparison; it interpolates but is not conservative.
+An approximant is its fit table and shifts; its cover, mode and surface are
+the table's.
 
 Every batch, of one point or of thousands, takes the same path.  One
 point-patch incidence query (``Cover.incidence``) yields the pairs with the
@@ -41,19 +43,21 @@ from .localfit import FitTable, check_samples, fit_table
 class PumApproximant:
     """An assembled partition-of-unity approximant (immutable).
 
-    ``fits`` is the ``FitTable`` of the cover's patches; its mode and
-    surface are the approximant's.
+    ``fits`` is the ``FitTable`` of a cover's patches; its cover, mode and
+    surface are the approximant's, so fits and cover always agree.
     """
 
-    cover: object
     fits: FitTable
     shifts: object
 
     def __post_init__(self):
-        n_patch = len(self.cover)
-        if not (len(self.fits) == n_patch == len(self.shifts.shifts)):
-            raise ValueError("cover, fits, and shifts disagree on the "
-                             "number of patches")
+        if len(self.fits) != len(self.shifts.shifts):
+            raise ValueError("fits and shifts disagree on the number of "
+                             "patches")
+
+    @property
+    def cover(self):
+        return self.fits.cover
 
     @property
     def surface(self):
@@ -141,8 +145,9 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
 
     ``values`` are the field samples at ``cover.nodes``, checked once.
     Patches are fit serially, straight into one ``FitTable`` that reads
-    their nodes through the cover's member index; threads are used for
-    batch evaluation only.
+    their nodes through the cover; threads are used for batch evaluation
+    only.  The shifts are the approximant's ``shifts``; its glue graph is
+    ``glue.build_glue_graph(approx.cover, approx.surface)``.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -151,11 +156,9 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     # which the per-patch systems reuse heap pages.  The block is dropped at
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
-    nodes, values = check_samples(cover.nodes, values, surface, mode)
-    fits = fit_table(nodes, values, cover.member_index, cover.member_counts(),
-                     kernel, surface, mode)
+    _, values = check_samples(cover.nodes, values, surface, mode)
+    fits = fit_table(cover, values, kernel, surface, mode)
     graph = glue_mod.build_glue_graph(cover, surface)
     p, c = glue_mod.build_shift_system(graph, fits)
     solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
-    approx = PumApproximant(cover=cover, fits=fits, shifts=solution)
-    return approx, graph, solution
+    return PumApproximant(fits=fits, shifts=solution)

@@ -291,12 +291,3 @@ def test_mean_members_stable_under_doubling():
         means.append(cov.member_counts().mean())
     assert abs(means[1] - means[0]) / means[0] < 0.25
 
-
-def test_dump_cover(tmp_path):
-    nodes = np.array([[0.5, 0.5], [0.6, 0.5]])
-    cov = cover.single_patch_cover(nodes, geometry.euclidean(2), radius=1.0)
-    path = tmp_path / "cover.txt"
-    cover.dump_cover(cov, path)
-    fields = path.read_text().split()
-    assert len(fields) == 5
-    assert int(fields[4]) == 2

@@ -125,14 +125,14 @@ def test_shift_system_chain_offsets():
     # c_i = psi_k - psi_l over edges (0,1) and (1,2)
     assert np.allclose(c, [1.0, 2.0])
     # incidence matrix of a connected cover has rank M-1
-    assert np.linalg.matrix_rank(p.toarray()) == graph.n_patches - 1
+    assert np.linalg.matrix_rank(p.toarray()) == len(graph.cover) - 1
 
 
 def shift_rhs_oracle(graph, fits):
     """c by the original per-patch scan over all edges, each patch's
     potential evaluated densely (``pair_oracle``)."""
     c = np.zeros(len(graph.edges))
-    for l in range(graph.n_patches):
+    for l in range(len(graph.cover)):
         on_l = np.nonzero(graph.edges[:, 0] == l)[0]
         if len(on_l):
             c[on_l] -= pair_oracle.potential(fits[l], graph.points[on_l])
@@ -272,9 +272,10 @@ def test_single_patch_build_solves():
     problem = testbed.star_problem()
     nodes = problem.nodes(200, np.random.SeedSequence(3))
     cov = single_patch_cover(nodes, problem.surface)
-    approx, graph, sol = build_approximant(
+    approx = build_approximant(
         cov, RadialKernel("imq", 7.0), problem.surface, problem.mode,
         problem.field(nodes))
+    graph, sol = glue.build_glue_graph(cov, problem.surface), approx.shifts
     p, c = glue.build_shift_system(graph, approx.fits)
     assert len(graph) == 0 and p.shape == (0, 1) and c.shape == (0,)
     assert np.array_equal(sol.shifts, [0.0])
@@ -282,15 +283,3 @@ def test_single_patch_build_solves():
     pot, fld = approx.batch_eval(nodes[:5])
     assert np.isfinite(pot).all() and np.isfinite(fld).all()
 
-
-def test_dump_glue(tmp_path):
-    cov = chain_cover()
-    graph = glue.build_glue_graph(cov, EUC2)
-    fits = ConstantPotentials(0.0, 1.0, 3.0)
-    p, c = glue.build_shift_system(graph, fits)
-    sol = glue.solve_shifts(p, c, graph)
-    path = tmp_path / "glue.txt"
-    glue.dump_glue(graph, c, sol, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert len(lines[0].split()) == 8

@@ -36,11 +36,18 @@ def _phi_div_2d(eps, dx, dy):
                      [fxy(dx, dy), -fxx(dx, dy)]])
 
 
+def stacked_cover(nodes, members):
+    """A cover of coincident unit patches with the given members; only its
+    membership is read by a fit table."""
+    centers = np.zeros((len(members), nodes.shape[1]))
+    return Cover(centers=centers, radii=np.ones(len(members)),
+                 members=members, nodes=nodes)
+
+
 def fit_one(nodes, values, kernel, surface, mode):
     """The fit of one patch holding every node."""
-    n = len(nodes)
-    return fit_table(nodes, values, np.arange(n), [n], kernel, surface,
-                     mode)[0]
+    cov = stacked_cover(nodes, [np.arange(len(nodes))])
+    return fit_table(cov, values, kernel, surface, mode)[0]
 
 
 def random_sphere_patch(rng, n, cap=0.5):
@@ -564,15 +571,17 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     values = np.empty_like(nodes)
     nodes[member_index] = np.concatenate([pts for pts, _ in samples])
     values[member_index] = np.concatenate([vals for _, vals in samples])
-    table = fit_table(nodes, values, member_index, sizes, kernel, surface,
-                      mode)
+    cov = stacked_cover(nodes, np.split(member_index, np.cumsum(sizes)[:-1]))
+    table = fit_table(cov, values, kernel, surface, mode)
+    assert table.cover is cov
+    assert table.sign == (1.0 if mode == "div_surface" else -1.0)
     fits = list(table)
     assert len(fits) == len(sizes)
     for fit, (pts, vals) in zip(fits, samples):
-        evec, sign, residual = fit_patch(pts, vals, kernel, surface, mode)
+        evec, residual = fit_patch(pts, vals, kernel, surface, mode)
         assert pair_oracle.same_bits(fit.nodes, pts)
         assert pair_oracle.same_bits(fit.eval_vectors, evec.T)
-        assert (fit.sign, fit.fit_residual) == (sign, residual)
+        assert (fit.sign, fit.fit_residual) == (table.sign, residual)
     want = [pair_oracle.field_potential(f, probes) for f in fits]
     want_psi = [pair_oracle.potential(f, probes) for f in fits]
     for fit, (pot, raw), psi in zip(fits, want, want_psi):

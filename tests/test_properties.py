@@ -169,8 +169,8 @@ def second_field(approx, rng):
 
 def blend(approx, values, pts):
     """(potential, field) at pts of the blend of values on approx's cover."""
-    fit, _, _ = build_approximant(approx.cover, approx.fits[0].kernel,
-                                  approx.surface, approx.mode, values)
+    fit = build_approximant(approx.cover, approx.fits[0].kernel,
+                            approx.surface, approx.mode, values)
     return fit.batch_eval(pts)
 
 

@@ -45,8 +45,7 @@ def star_points(m, seed):
 def star_approx():
     nodes, values, cov = star_setup(1500, seed=4)
     kernel = RadialKernel("imq", 7.0)
-    approx, graph, solution = build_approximant(cov, kernel, PLANE,
-                                                "div_surface", values)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     return nodes, values, approx
 
 
@@ -55,8 +54,7 @@ def test_single_patch_cover_matches_global_fit():
     values = geometry.embed_points(testbed.u1(nodes[:, :2]))
     kernel = RadialKernel("imq", 7.0)
     cov = cover.single_patch_cover(nodes, PLANE, radius=4.0)
-    approx, _, _ = build_approximant(cov, kernel, PLANE, "div_surface",
-                                     values)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     oracle = fit_global(nodes, values, kernel, PLANE, "div_surface")
     pts = star_points(200, seed=6)
     pot_p, field_p = approx.batch_eval(pts)
@@ -72,15 +70,14 @@ def test_single_patch_cover_matches_global_fit():
 def test_common_shift_moves_potential_exactly():
     nodes, values, cov = star_setup(600, seed=9)
     kernel = RadialKernel("imq", 7.0)
-    approx, graph, solution = build_approximant(cov, kernel, PLANE,
-                                                "div_surface", values)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     pts = star_points(50, seed=10)
     pot0, field0 = approx.batch_eval(pts)
+    solution = approx.shifts
     shifted = glue.ShiftSolution(shifts=solution.shifts + 2.75,
                                  residual=solution.residual,
                                  anchor=solution.anchor)
-    approx2 = PumApproximant(cover=approx.cover, fits=approx.fits,
-                             shifts=shifted)
+    approx2 = PumApproximant(fits=approx.fits, shifts=shifted)
     pot1, field1 = approx2.batch_eval(pts)
     assert np.abs(pot1 - pot0 - 2.75).max() < 1e-12
     scale = np.sqrt((field0**2).sum(-1)).max()
@@ -145,9 +142,9 @@ def test_covered_mask_agrees_with_evaluation_at_the_boundary():
     cov = cover.Cover(centers=np.zeros((1, 2)),
                       radii=np.array([0.6732655185893088]),
                       members=[np.arange(60)], nodes=nodes)
-    approx, _, _ = build_approximant(cov, RadialKernel("imq", 2.0),
-                                     geometry.euclidean(2), "curl_euclidean",
-                                     -nodes)
+    approx = build_approximant(cov, RadialKernel("imq", 2.0),
+                               geometry.euclidean(2), "curl_euclidean",
+                               -nodes)
     pt = np.array([[float.fromhex("-0x1.c183fdabb7693p-2"),
                     float.fromhex("-0x1.055cc0996653ep-1")]])
     assert not approx.covered_mask(pt)[0]
@@ -202,7 +199,7 @@ def test_fits_live_in_one_table(request, name):
               else request.getfixturevalue(f"{name}_approx"))
     table, cov = approx.fits, approx.cover
     assert isinstance(table, localfit.FitTable)
-    assert table.nodes is cov.nodes and table.members is cov.member_index
+    assert table.cover is cov
     assert table.eval_vectors.shape == (cov.nodes.shape[1],
                                         len(cov.member_index))
     assert len(table) == len(cov)
@@ -318,18 +315,18 @@ def test_near_interpolation_bound_at_nodes(star_approx):
 def test_identical_potentials_zero_correction():
     nodes, values, cov = star_setup(500, seed=14)
     kernel = RadialKernel("imq", 7.0)
-    approx, graph, solution = build_approximant(cov, kernel, PLANE,
-                                                "div_surface", values)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     one = fit_global(nodes, values, kernel, PLANE, "div_surface").table
-    # L copies of the one fit, all reading the same nodes.
-    n_patch, n_node = len(cov), len(one.members)
+    # L copies of the one fit, on a cover with the patches of ``cov`` whose
+    # every patch holds the one fit's members.
+    n_patch = len(cov)
+    every = cover.Cover(centers=cov.centers, radii=cov.radii,
+                        members=[one.cover.member_index] * n_patch,
+                        nodes=one.cover.nodes)
     copies = dataclasses.replace(
-        one, members=np.tile(one.members, n_patch),
-        offsets=n_node * np.arange(n_patch + 1),
-        eval_vectors=np.tile(one.eval_vectors, n_patch),
-        sign=np.repeat(one.sign, n_patch),
+        one, cover=every, eval_vectors=np.tile(one.eval_vectors, n_patch),
         fit_residual=np.repeat(one.fit_residual, n_patch))
-    same = PumApproximant(cover=cov, fits=copies,
+    same = PumApproximant(fits=copies,
                           shifts=glue.ShiftSolution(
                               shifts=np.zeros(n_patch),
                               residual=np.zeros(0), anchor=0))
@@ -353,8 +350,7 @@ def plane_divergence_fd(field_fn, x, step):
 def test_conservation_vs_naive_blend():
     nodes, values, cov = star_setup(2000, seed=16)
     kernel = RadialKernel("imq", 13.0)
-    approx, _, _ = build_approximant(cov, kernel, PLANE, "div_surface",
-                                     values)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     pts = star_points(100, seed=17)
     _, field = approx.batch_eval(pts)
     scale = np.sqrt((field**2).sum(-1)).max()
@@ -405,9 +401,9 @@ def test_flat_curl_free_blend():
     cov = cover.assign_radii_and_inflate(
         cover.centers_plane(((-1, -1), (1, 1)), None, h), nodes, 0.5,
         surface, h)
-    approx, _, _ = build_approximant(cov, RadialKernel("imq", 3.0), surface,
-                                     "curl_euclidean",
-                                     testbed.grad_psi1(nodes))
+    approx = build_approximant(cov, RadialKernel("imq", 3.0), surface,
+                               "curl_euclidean",
+                               testbed.grad_psi1(nodes))
     assert len(approx.cover) == 52
     pts = np.random.default_rng(8).uniform(-0.95, 0.95, (400, 2))
     _, field = approx.batch_eval(pts)
@@ -435,9 +431,9 @@ def test_sphere_curl_free_blend():
     h = cover.spacing_from_q(9.0, 4.0 * np.pi, len(nodes), 2)
     cov = cover.assign_radii_and_inflate(cover.centers_sphere(h), nodes,
                                          9.0 / 16.0, surface, h)
-    approx, _, _ = build_approximant(cov, RadialKernel("matern4", 7.5),
-                                     surface, "curl_surface",
-                                     tangent_grad_psi2(nodes))
+    approx = build_approximant(cov, RadialKernel("matern4", 7.5),
+                               surface, "curl_surface",
+                               tangent_grad_psi2(nodes))
     assert len(approx.cover) == 38
     pts = testbed.nodes_sphere(400, 6)
     _, field = approx.batch_eval(pts)
@@ -477,9 +473,9 @@ def test_field_is_derivative_of_potential(star_approx):
 def test_anchor_invariance_of_reconstruction():
     nodes, values, cov = star_setup(800, seed=21)
     kernel = RadialKernel("imq", 7.0)
-    approx, graph, _ = build_approximant(cov, kernel, PLANE, "div_surface",
-                                         values)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     from vecpum.glue import build_shift_system, solve_shifts
+    graph = glue.build_glue_graph(cov, PLANE)
     p, c = build_shift_system(graph, approx.fits)
     sol_a = solve_shifts(p, c, graph, gamma=4.0, anchor=0)
     sol_b = solve_shifts(p, c, graph, gamma=4.0, anchor=len(cov) - 1)
@@ -488,10 +484,8 @@ def test_anchor_invariance_of_reconstruction():
     assert np.ptp(diff) < 1e-9 * max(1.0, np.abs(sol_a.shifts).max())
     pts = star_points(80, seed=22)
     pts = pts[cov.covers(pts)][:60]
-    fa = PumApproximant(cover=cov, fits=approx.fits,
-                        shifts=sol_a).batch_eval(pts)[1]
-    fb = PumApproximant(cover=cov, fits=approx.fits,
-                        shifts=sol_b).batch_eval(pts)[1]
+    fa = PumApproximant(fits=approx.fits, shifts=sol_a).batch_eval(pts)[1]
+    fb = PumApproximant(fits=approx.fits, shifts=sol_b).batch_eval(pts)[1]
     scale = np.sqrt((fa**2).sum(-1)).max()
     assert np.abs(fa - fb).max() <= 1e-10 * scale
 
@@ -507,13 +501,13 @@ def test_shift_quality_tracks_field_error():
     cov = cov_mod.assign_radii_and_inflate(prob.make_centers(h), nodes,
                                            9.0 / 16.0, prob.surface, h)
     kernel = RadialKernel("matern4", 7.5)
-    approx, graph, solution = build_approximant(cov, kernel, prob.surface,
-                                                "div_surface", values)
+    approx = build_approximant(cov, kernel, prob.surface,
+                               "div_surface", values)
     eval_pts = prob.nodes(4000, 32)
     _, field = approx.batch_eval(eval_pts)
     err_scale = np.sqrt(((field - prob.field(eval_pts)) ** 2).sum(-1)).max()
     # |psi~_l - psi~_k| at a glue point is exactly the system residual there
-    mismatch = np.abs(solution.residual).max()
+    mismatch = np.abs(approx.shifts.residual).max()
     assert mismatch <= 10.0 * err_scale
 
 
@@ -540,12 +534,12 @@ def test_workers_do_not_change_results():
 def test_partition_of_unity_consistency_mismatch_raises():
     nodes, values, cov = star_setup(300, seed=19)
     kernel = RadialKernel("imq", 7.0)
-    approx, graph, solution = build_approximant(cov, kernel, PLANE,
-                                                "div_surface", values)
-    one_patch = cover.single_patch_cover(nodes, PLANE)
+    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
     one_fit = fit_global(nodes, values, kernel, PLANE, "div_surface").table
-    for wrong in ({"cover": one_patch}, {"fits": one_fit}):
-        parts = {"cover": cov, "fits": approx.fits, "shifts": solution}
+    one_shift = glue.ShiftSolution(shifts=np.zeros(1), residual=np.zeros(0),
+                                   anchor=0)
+    for wrong in ({"fits": one_fit}, {"shifts": one_shift}):
+        parts = {"fits": approx.fits, "shifts": approx.shifts}
         with pytest.raises(ValueError, match="disagree"):
             PumApproximant(**(parts | wrong))
 
@@ -560,8 +554,54 @@ def test_mode_and_surface_are_the_tables(star_approx):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(approx, name, getattr(approx, name))
     with pytest.raises(TypeError):
-        PumApproximant(cover=approx.cover, fits=approx.fits,
-                       shifts=approx.shifts, mode="curl_surface")
+        PumApproximant(fits=approx.fits, shifts=approx.shifts,
+                       mode="curl_surface")
+
+
+def test_fits_bring_their_own_cover():
+    # Two 600-node star covers of 10 patches each: patch counts cannot tell
+    # them apart, so an approximant takes its cover from its fits and can
+    # be given no other.
+    approxes = []
+    for seed in (9, 10):
+        _, values, cov = star_setup(600, seed=seed)
+        approxes.append(build_approximant(cov, RadialKernel("imq", 7.0),
+                                          PLANE, "div_surface", values))
+    a9, a10 = approxes
+    assert len(a9.cover) == len(a10.cover) == 10
+    mixed = PumApproximant(fits=a10.fits, shifts=a9.shifts)
+    assert mixed.cover is a10.cover is a10.fits.cover
+    with pytest.raises(TypeError):
+        PumApproximant(cover=a9.cover, fits=a10.fits, shifts=a9.shifts)
+    pts = star_points(200, seed=33)
+    assert np.array_equal(mixed.covered_mask(pts), a10.covered_mask(pts))
+    pts = pts[a10.covered_mask(pts)]
+    again = PumApproximant(fits=a10.fits, shifts=a10.shifts)
+    for got, want in zip(again.batch_eval_all(pts), a10.batch_eval_all(pts)):
+        assert pair_oracle.same_bits(got, want)
+
+
+def test_membership_is_held_once_by_the_cover():
+    _, values, cov = star_setup(600, seed=10)
+    table = localfit.fit_table(cov, values, RadialKernel("imq", 7.0), PLANE,
+                               "div_surface")
+    assert table.cover is cov
+    offsets = cov.offsets
+    assert not offsets.flags.writeable
+    assert not cov.member_index.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[1] += 1
+    assert offsets[0] == 0 and offsets[-1] == len(cov.member_index)
+    assert pair_oracle.same_bits(cov.member_counts(), np.diff(offsets))
+    for l, idx in enumerate(cov.members):
+        assert idx.base is cov.member_index
+        assert np.array_equal(idx, cov.member_index[offsets[l]:
+                                                    offsets[l + 1]])
+    # The table and the approximant hold no membership of their own.
+    assert [f.name for f in dataclasses.fields(table)] == [
+        "mode", "kernel", "surface", "cover", "eval_vectors", "fit_residual"]
+    assert [f.name for f in dataclasses.fields(PumApproximant)] == [
+        "fits", "shifts"]
 
 
 # Each build in a fresh interpreter; the sphere's per-patch systems (about
