@@ -124,11 +124,23 @@ def _kappa_prime_over_r(r):
     return out
 
 
-@dataclass
+def read_only(a):
+    """``a`` as a read-only float array: ``a`` itself if it already is one
+    that owns its data, else a copy."""
+    a = np.asarray(a, dtype=float)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class Cover:
     """Immutable patch cover over a node set; the one owner of patch
     membership.
 
+    ``centers``, ``radii`` and ``nodes`` are ``read_only`` copies of the
+    caller's arrays, so nothing computed from them can go stale.
     Membership is held once, in CSR form: patch l's members, the nodes
     strictly inside it, are ``member_index[offsets[l]:offsets[l + 1]]``,
     and ``members[l]`` is that slice as a view.  Both arrays are read-only.
@@ -140,7 +152,7 @@ class Cover:
 
     centers: np.ndarray
     radii: np.ndarray
-    members: list
+    members: tuple
     nodes: np.ndarray
     member_index: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
@@ -151,14 +163,20 @@ class Cover:
         if not self.members or not all(len(idx) for idx in self.members):
             raise ConfigError("a cover needs at least one patch and member "
                               "nodes in every patch")
-        self.member_index = np.concatenate(self.members)
-        self.offsets = np.concatenate(
+        for name in ("centers", "radii", "nodes"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        member_index = np.concatenate(self.members)
+        offsets = np.concatenate(
             ([0], np.cumsum([len(idx) for idx in self.members])))
-        for owned in (self.member_index, self.offsets):
+        tree = cKDTree(self.centers)
+        edges = patch_graph_edges(self.centers, self.radii, tree)
+        for owned in (member_index, offsets, edges):
             owned.flags.writeable = False
-        self.members = np.split(self.member_index, self.offsets[1:-1])
-        self.tree = cKDTree(self.centers)
-        self.edges = patch_graph_edges(self.centers, self.radii, self.tree)
+        derived = dict(member_index=member_index, offsets=offsets,
+                       members=tuple(np.split(member_index, offsets[1:-1])),
+                       tree=tree, edges=edges)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         m = len(self.centers)
         adj = sparse.coo_matrix((np.ones(len(self.edges)),
                                  (self.edges[:, 0], self.edges[:, 1])),
@@ -285,7 +303,12 @@ def single_patch_cover(nodes, surface, radius=None):
     """A one-patch cover enclosing all nodes (testing aid for the global
     interpolant equivalence)."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    center = surface.project(nodes.mean(axis=0))
+    mean = nodes.mean(axis=0)
+    if surface.kind == "sphere" and not np.any(mean):
+        raise ConfigError("the nodes' mean is the sphere's center, which "
+                          "has no projection onto the sphere to serve as "
+                          "the patch center")
+    center = surface.project(mean)
     if radius is None:
         radius = 2.5 * np.sqrt(((nodes - center) ** 2).sum(-1)).max() + 1e-3
     cov = Cover(centers=center[None, :], radii=np.array([float(radius)]),

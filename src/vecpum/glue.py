@@ -16,21 +16,26 @@ from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .cover import Cover
+from .cover import Cover, read_only
 
 # Above this many patches the anchored normal equations are solved by a
 # sparse LU factorization instead of a dense Cholesky.
 DENSE_SOLVE_MAX = 6000
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GlueGraph:
     """The overlap edges (l < k) of ``cover``, their glue points, and
-    per-edge near-center distances used by the least-squares weighting."""
+    per-edge near-center distances used by the least-squares weighting;
+    the arrays are read-only."""
 
     cover: Cover
     points: np.ndarray
     r_near: np.ndarray
+
+    def __post_init__(self):
+        for name in ("points", "r_near"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def edges(self):
@@ -40,9 +45,10 @@ class GlueGraph:
         return len(self.edges)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ShiftSolution:
-    """Potential shifts with the anchored index and the system residual.
+    """Potential shifts with the anchored index and the system residual,
+    in read-only arrays.
 
     The residual P b - c is kept: it enters the reconstruction error bound
     and its decay under refinement is a correctness diagnostic.
@@ -51,6 +57,10 @@ class ShiftSolution:
     shifts: np.ndarray
     residual: np.ndarray
     anchor: int
+
+    def __post_init__(self):
+        for name in ("shifts", "residual"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
 def build_glue_graph(cover, surface):

@@ -1,21 +1,20 @@
 """Per-patch div/curl-free kernel interpolation: assembly, solve, evaluation.
 
-For nodes x_j with tangent frames {d_j, e_j, n_j}, the surface systems are
-2n-by-2n with 2x2 blocks  [d_i e_i]^T Phi(x_i, x_j) [d_j e_j], where
-Phi_div = Q_x H Q_y and Phi_curl = -P_x H P_y for the scalar-kernel Hessian
-H = F*I + S*rr^T.  In flat R^d the curl-free system is the dn-by-dn
-block matrix of -H.  All systems are symmetric positive definite for the
-shipped kernels and are solved by Cholesky factorization; failures surface
-as PatchFitError rather than being regularized away.
+Every mode's system has one form: for the scalar-kernel Hessian
+H = F*I + S*rr^T, block (i, j) is sign * L_i H R_j^T with L_i = B_i O_i and
+R_j = B_j O_j^T, for frame rows B_i (the tangent frame [d_i e_i] on a
+surface, the identity in flat R^d) and the mode's operator O: Q v = n x v
+(div-free, sign +1), P = I - nn^T (curl-free on a surface) or I (flat,
+both sign -1).  The systems are symmetric positive definite for the shipped
+kernels; Cholesky failures surface as PatchFitError, never regularized.
 
 ``fit_table`` solves every patch of a cover (``fit_patch`` solves one)
 straight into one ``FitTable``: the eval vectors of all patches in one
 (d, T) table, patch after patch with no padding, laid out as the cover's
 CSR membership, through which the table reads its node coordinates.  The
-expansion's sign follows from the mode.  The table's pair kernel
-``pair_sums`` is the one evaluator: it forms each (point, patch) pair's
-node terms in chunks of at most ``PAIR_CHUNK`` terms and sums them without
-BLAS.  Field sums are ``bincount``s, which
+table's pair kernel ``pair_sums`` is the one evaluator: it forms each
+(point, patch) pair's node terms in chunks of at most ``PAIR_CHUNK`` terms
+and sums them without BLAS.  Field sums are ``bincount``s, which
 add in term order from 0.0; potential sums are ``reduceat`` segments led by
 an explicit 0.0, which reproduce numpy's pairwise row sum.  These are the
 sums a dense evaluation of one fit at a batch of points forms, so a pair's
@@ -99,62 +98,67 @@ def phi_curl_block(kernel, surface, xi, xj):
     return -(pi @ h @ pj)
 
 
-def _surface_bases(mode, frames):
-    d, e, n = frames
-    if mode == "div_surface":
-        # Rows pick out [d_i e_i]^T Q_i = [-(n_i x d_i), -(n_i x e_i)]^T and
-        # columns Q_j [d_j e_j]; valid for any orthonormal frame.
-        right = np.stack([np.cross(n, d), np.cross(n, e)], axis=1)
-        return -right, right, 1.0
-    left = np.stack([d, e], axis=1)
-    return left, left, -1.0
+def kernel_sign(mode):
+    """+1 for the div-free kernel (``div_surface``), -1 for curl-free ones."""
+    return 1.0 if mode == "div_surface" else -1.0
+
+
+def _frames(mode, surface, nodes):
+    """Frame rows (n, k, dim) at the nodes and the normals: the tangent
+    frames [d_i e_i] on a surface, the identity and None in flat R^d."""
+    if mode == "curl_euclidean":
+        n, dim = nodes.shape
+        return np.broadcast_to(np.eye(dim), (n, dim, dim)), None
+    d, e, normals = surface.tangent_frames(nodes)
+    return np.stack([d, e], axis=1), normals
 
 
 def assemble_system(kernel, surface, nodes, mode, frames=None):
     """Dense interpolation matrix for the given mode (symmetrized)."""
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    n = len(nodes)
-    if mode == "curl_euclidean":
-        d = nodes.shape[1]
-        a = np.empty((d * n, d * n))
-        for i0 in range(0, n, _ASSEMBLY_BLOCK):
-            i1 = min(i0 + _ASSEMBLY_BLOCK, n)
-            diff = nodes[i0:i1, None, :] - nodes[None, :, :]
-            r = np.sqrt((diff * diff).sum(-1))
-            f, s = kernel.hessian_coeffs(r)
-            for p in range(d):
-                for q in range(d):
-                    blk = s * diff[:, :, p] * diff[:, :, q]
-                    if p == q:
-                        blk = blk + f
-                    a[d * i0 + p:d * i1 + p:d, q::d] = -blk
-        return 0.5 * (a + a.T)
-    if frames is None:
-        frames = surface.tangent_frames(nodes)
-    left, right, sign = _surface_bases(mode, frames)
-    # Row 2i+p of the flattened bases is L_ip (R_ip).  As L_ip.(x_i - x_j)
-    # = L_ip.x_i - L_ip.x_j, one product with the node coordinates gives
-    # every frame contraction with the difference vectors.
-    left = left.reshape(-1, 3)
-    right = right.reshape(-1, 3)
-    node_rows = np.repeat(nodes, 2, axis=0)
-    r_x = right @ nodes.T
-    r_self = (right * node_rows).sum(-1)
-    a = np.empty((2 * n, 2 * n))
+    rows, normals = _frames(mode, surface, nodes) if frames is None else frames
+    sign = kernel_sign(mode)
+    n, k, dim = rows.shape
+    if normals is not None:
+        # Row kj+q of R is n_j x b_jq under Q and b_jq under P; L is -R as Q
+        # is skew, and R itself (so L R^T is R R^T) as P is symmetric.  As
+        # L_ip.(x_i - x_j) = L_ip.x_i - L_ip.x_j, one product with the node
+        # coordinates gives every frame contraction with the differences.
+        right = np.cross(normals[:, None, :], rows) if sign > 0 else rows
+        right = right.reshape(-1, dim)
+        left = -right if sign > 0 else right
+        node_rows = np.repeat(nodes, k, axis=0)
+        r_x = right @ nodes.T
+        r_self = (right * node_rows).sum(-1)
+        l_self = (left * node_rows).sum(-1)
+    a = np.empty((k * n, k * n))
     for i0 in range(0, n, _ASSEMBLY_BLOCK):
         i1 = min(i0 + _ASSEMBLY_BLOCK, n)
-        m = i1 - i0
-        r2 = sum((nodes[i0:i1, None, c] - nodes[None, :, c]) ** 2
-                 for c in range(3))
+        dx = [nodes[i0:i1, None, c] - nodes[None, :, c] for c in range(dim)]
+        r2 = dx[0] * dx[0]
+        for c in range(1, dim):
+            r2 += dx[c] * dx[c]
         f, s = kernel.hessian_coeffs(np.sqrt(r2))
-        lb = left[2 * i0:2 * i1]
-        ld = (lb * node_rows[2 * i0:2 * i1]).sum(-1)[:, None] - lb @ nodes.T
-        rd = r_x[:, i0:i1].T - r_self
-        blk = a[2 * i0:2 * i1].reshape(m, 2, n, 2)
-        np.multiply((sign * s)[:, None, :, None] * ld.reshape(m, 2, n, 1),
-                    rd.reshape(m, 1, n, 2), out=blk)
-        blk += ((sign * f)[:, None, :, None] *
-                (lb @ right.T).reshape(m, 2, n, 2))
+        f, s = sign * f, sign * s
+        if normals is None:
+            # L = R = I: the contractions are the differences themselves.
+            ld = rd = dx
+        else:
+            lb = left[k * i0:k * i1]
+            ld = l_self[k * i0:k * i1, None] - lb @ nodes.T
+            rd = r_x[:, i0:i1].T - r_self
+            lr = lb @ right.T
+            ld = [ld[p::k] for p in range(k)]
+            rd = [rd[:, q::k] for q in range(k)]
+        for p in range(k):
+            sl = s * ld[p]
+            for q in range(k):
+                out = a[k * i0 + p:k * i1 + p:k, q::k]
+                np.multiply(sl, rd[q], out=out)
+                if normals is not None:
+                    out += f * lr[p::k, q::k]
+                elif p == q:
+                    out += f
     return 0.5 * (a + a.T)
 
 
@@ -185,8 +189,8 @@ class FitTable:
 
     @property
     def sign(self):
-        """+1 for div-free (``div_surface``), -1 for curl-free expansions."""
-        return 1.0 if self.mode == "div_surface" else -1.0
+        """``kernel_sign`` of the mode."""
+        return kernel_sign(self.mode)
 
     def __getitem__(self, l):
         return LocalFit(self, range(len(self))[l])
@@ -348,20 +352,16 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     fit residual, the relative max-norm residual of the solved system.
     """
     n = len(nodes)
-    if mode == "curl_euclidean":
-        a = assemble_system(kernel, surface, nodes, mode)
-        rhs = values.reshape(-1)
-        sol = _solve_spd(a, rhs, patch_id)
-        evec = sol.reshape(n, nodes.shape[1])
-    else:
-        frames = surface.tangent_frames(nodes)
-        d, e, normal = frames
-        a = assemble_system(kernel, surface, nodes, mode, frames=frames)
-        rhs = (np.stack([d, e], axis=1) * values[:, None, :]).sum(-1).ravel()
-        sol = _solve_spd(a, rhs, patch_id)
-        alpha_beta = sol.reshape(n, 2)
-        coef = alpha_beta[:, 0:1] * d + alpha_beta[:, 1:2] * e
-        evec = np.cross(normal, coef) if mode == "div_surface" else coef
+    rows, normals = frames = _frames(mode, surface, nodes)
+    a = assemble_system(kernel, surface, nodes, mode, frames=frames)
+    rhs = (rows * values[:, None, :]).sum(-1).ravel()
+    sol = _solve_spd(a, rhs, patch_id)
+    # sum_p sol_p b_p from the first product, so -0.0 (plane z) stays -0.0.
+    per_row = sol.reshape(n, -1)
+    coef = per_row[:, :1] * rows[:, 0]
+    for p in range(1, rows.shape[1]):
+        coef = coef + per_row[:, p:p + 1] * rows[:, p]
+    evec = np.cross(normals, coef) if mode == "div_surface" else coef
     # The solved system's residual, one row per node; in the orthonormal
     # frame basis its norm equals the tangent residual in R^3.
     miss = (a @ sol - rhs).reshape(n, -1)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,43 @@ def test_single_patch_cover_must_enclose_strictly():
     cov = cover.single_patch_cover(nodes, geometry.euclidean(2),
                                    radius=np.nextafter(0.5, 1.0))
     assert np.array_equal(cov.members[0], [0, 1])
+
+
+def test_single_patch_cover_rejects_a_zero_mean_sphere_set():
+    # The six +-axis points average to the sphere's center, which has no
+    # projection onto the sphere: projecting it was 0/0, a RuntimeWarning
+    # and then "data must be finite" from the k-d tree.
+    nodes = np.concatenate([np.eye(3), -np.eye(3)])
+    with pytest.raises(ConfigError, match="mean is the sphere's center"):
+        cover.single_patch_cover(nodes, geometry.sphere2())
+
+
+def test_cover_is_frozen_and_owns_its_arrays():
+    # Writing a radius after the build used to leave the edges, members and
+    # tree describing the old radius while ``covers`` read the new one.
+    centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+    radii = np.array([0.6, 0.6])
+    nodes = np.array([[0.1, 0.0], [0.9, 0.0]])
+    cov = cover.Cover(centers=centers, radii=radii,
+                      members=[np.array([0]), np.array([1])], nodes=nodes)
+    assert cov.edges.tolist() == [[0, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        cov.radii[1] = 0.1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cov.radii = np.array([0.1, 0.1])
+    for name in ("centers", "radii", "nodes", "member_index", "offsets",
+                 "edges"):
+        assert not getattr(cov, name).flags.writeable, name
+    assert isinstance(cov.members, tuple)
+    assert not any(idx.flags.writeable for idx in cov.members)
+    # The caller's writable arrays were copied; read-only ones are kept.
+    radii[1] = 0.1
+    nodes[0] = 5.0
+    assert cov.radii[1] == 0.6 and cov.nodes[0, 0] == 0.1
+    assert cov.covers(np.array([[0.5, 0.0]])).all()
+    again = cover.Cover(centers=cov.centers, radii=cov.radii,
+                        members=cov.members, nodes=cov.nodes)
+    assert again.centers is cov.centers and again.nodes is cov.nodes
 
 
 def test_empty_nodes_rejected():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import sympy
 
+import assembly_oracle
 import pair_oracle
-from vecpum import geometry, localfit
+from vecpum import geometry, localfit, testbed
 from vecpum.cover import Cover
 from vecpum.errors import ConfigError, GlobalFitSizeError, PatchFitError
 from vecpum.kernels import RadialKernel
@@ -629,3 +630,64 @@ def test_coefficients_derive_from_eval_vectors():
     assert pair_oracle.alpha_beta(fit) is None
     assert np.shares_memory(pair_oracle.coef_vectors(fit),
                             fit.table.eval_vectors)
+
+
+ORACLE_GEOMETRIES = {
+    "plane_div": (PLANE, "div_surface", 13.0),
+    "plane_curl": (PLANE, "curl_surface", 13.0),
+    "sphere_div": (SPHERE, "div_surface", 7.5),
+    "sphere_curl": (SPHERE, "curl_surface", 7.5),
+    "r2": (geometry.euclidean(2), "curl_euclidean", 4.0),
+    "r3": (R3, "curl_euclidean", 4.0),
+}
+# Both sides of _ASSEMBLY_BLOCK (256), and more than one block.  Under P
+# the L R^T of a one-block system is R R^T of one array, which numpy forms
+# by syrk; gemm on a copy of R differs from it in the last bits when 2n % 8
+# is 4 or 6, as at n = 19 (19 to 20 nodes is a common patch size).
+ORACLE_SIZES = (1, 2, 19, 37, 256, 257, 300, 600)
+
+
+def oracle_patch(name, n):
+    """The n nodes of a Poisson-disk set of 2000 nearest to one of them,
+    with tangent values (plane values have z = 0)."""
+    surface = ORACLE_GEOMETRIES[name][0]
+    if surface is SPHERE:
+        pool = testbed.nodes_sphere(2000, 5)
+    elif surface.dim == 2:
+        pool = testbed.nodes_star(2000, 5)
+    elif surface is PLANE:
+        pool = geometry.embed_points(testbed.nodes_star(2000, 5))
+    else:
+        pool = testbed.nodes_ball(2000, 5)
+    gap = pool - pool[7]
+    nodes = pool[np.argsort((gap * gap).sum(-1), kind="stable")[:n]]
+    raw = np.random.default_rng(n).normal(size=nodes.shape)
+    if surface.kind == "euclidean":
+        return nodes, raw
+    normals = surface.normals(nodes)
+    return nodes, raw - normals * (normals * raw).sum(-1)[:, None]
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+@pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
+@pytest.mark.parametrize("family", ["imq", "matern4"])
+def test_one_formulation_matches_per_mode_bodies(family, name, n):
+    # Every mode's system is sign * L H R^T over frame rows, flat R^d with
+    # the identity frame; it must carry the bits of the separate flat and
+    # surface bodies it replaced: the matrices, and for n <= 300 the eval
+    # vectors (the -0.0 z components of plane curl-free ones included) and
+    # the fit residual.
+    surface, mode, eps = ORACLE_GEOMETRIES[name]
+    kernel = RadialKernel(family, eps)
+    nodes, values = oracle_patch(name, n)
+    nodes, values = check_samples(nodes, values, surface, mode)
+    assert pair_oracle.same_bits(
+        assemble_system(kernel, surface, nodes, mode),
+        assembly_oracle.assemble_system(kernel, surface, nodes, mode))
+    if n > 300:
+        return
+    evec, residual = fit_patch(nodes, values, kernel, surface, mode)
+    want_evec, want_residual = assembly_oracle.fit_patch(
+        nodes, values, kernel, surface, mode)
+    assert pair_oracle.same_bits(evec, want_evec)
+    assert pair_oracle.same_bits(residual, want_residual)

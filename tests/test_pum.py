@@ -604,6 +604,59 @@ def test_membership_is_held_once_by_the_cover():
         "fits", "shifts"]
 
 
+def reachable_arrays(obj):
+    """Every array reachable from ``obj`` through dataclass fields and
+    tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from reachable_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name))
+
+
+def test_nothing_an_approximant_reads_is_writable(star_approx):
+    _, _, approx = star_approx
+    graph = glue.build_glue_graph(approx.cover, approx.surface)
+    arrays = list(reachable_arrays((approx, graph)))
+    for want in (approx.fits.eval_vectors, approx.cover.nodes,
+                 approx.cover.members[0], approx.shifts.residual,
+                 graph.points):
+        assert any(a is want for a in arrays)
+    assert not any(a.flags.writeable for a in arrays)
+    for obj in (approx, approx.fits, approx.cover, approx.shifts, graph):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.mode = "curl_surface"
+
+
+def test_shifts_are_read_only():
+    # ``approx.shifts.shifts[3] += 1`` used to move the field by up to 48.
+    _, values, cov = star_setup(600, seed=10)
+    approx = build_approximant(cov, RadialKernel("imq", 7.0), PLANE,
+                               "div_surface", values)
+    with pytest.raises(ValueError, match="read-only"):
+        approx.shifts.shifts[3] += 1
+    with pytest.raises(ValueError, match="read-only"):
+        approx.shifts.residual[0] = 0.0
+
+
+def test_moving_a_caller_node_leaves_the_field():
+    # The cover used to hold the caller's node array: moving one node by
+    # 1e-2 after the build moved the field by 0.16.
+    nodes, values, cov = star_setup(600, seed=10)
+    approx = build_approximant(cov, RadialKernel("imq", 7.0), PLANE,
+                               "div_surface", values)
+    pts = star_points(400, seed=12)
+    pts = pts[approx.covered_mask(pts)]
+    before = approx.batch_eval_all(pts)
+    nodes[cov.members[0][0], 0] += 1e-2
+    nodes[cov.members[-1]] *= 1.5
+    for got, want in zip(approx.batch_eval_all(pts), before):
+        assert pair_oracle.same_bits(got, want)
+
+
 # Each build in a fresh interpreter; the sphere's per-patch systems (about
 # 0.8 MB each) sit above glibc's initial mmap threshold.
 BUILD_FAULTS = textwrap.dedent("""
