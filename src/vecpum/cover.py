@@ -4,10 +4,10 @@ A cover is a set of ball-shaped patches (disks in the plane, spherical caps
 on the sphere, balls in R^3) whose centers come from a lattice of spacing H
 restricted to the domain, with radii proportional to H.  Every sample node
 must land strictly inside at least one patch; nodes missed by the initial
-radii inflate their nearest patch.  The cover owns patch membership: fit
-tables, glue graphs and approximants read it from their cover and keep no
-copy.  Weights are Shepard quotients of a C^1 quadratic B-spline bump, with
-analytic gradients.
+radii inflate their nearest patch.  The cover owns patch membership and
+its surface, which checks the nodes and every query point; fit tables,
+glue graphs and approximants read both from it.  Weights are Shepard
+quotients of a C^1 quadratic B-spline bump, with analytic gradients.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, CoverConnectivityError, CoverageError
-from .geometry import finite_points
+from .geometry import Surface
 
 # Factor by which an inflated radius overshoots the node distance so that
 # strict-inequality membership tests succeed.
@@ -136,8 +136,9 @@ def read_only(a):
 
 @dataclass(frozen=True, eq=False)
 class Cover:
-    """Immutable patch cover over a node set; the one owner of patch
-    membership.
+    """Immutable patch cover over a node set on ``surface``; the one owner
+    of patch membership and of the surface, whose ``check`` the nodes and
+    every query point pass.
 
     ``centers``, ``radii`` and ``nodes`` are ``read_only`` copies of the
     caller's arrays, so nothing computed from them can go stale.
@@ -146,14 +147,15 @@ class Cover:
     and ``members[l]`` is that slice as a view.  Both arrays are read-only.
     ``tree`` indexes the patch centers and ``edges`` holds the overlapping
     patch pairs (``patch_graph_edges``).  Construction raises ConfigError
-    unless every patch has members, and CoverConnectivityError on a
-    disconnected patch graph.
+    unless every patch has members and no two centers coincide, and
+    CoverConnectivityError on a disconnected patch graph.
     """
 
     centers: np.ndarray
     radii: np.ndarray
     members: tuple
     nodes: np.ndarray
+    surface: Surface
     member_index: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
     tree: cKDTree = field(init=False, repr=False)
@@ -163,12 +165,17 @@ class Cover:
         if not self.members or not all(len(idx) for idx in self.members):
             raise ConfigError("a cover needs at least one patch and member "
                               "nodes in every patch")
+        object.__setattr__(self, "nodes", self.surface.check(self.nodes))
         for name in ("centers", "radii", "nodes"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
         member_index = np.concatenate(self.members)
         offsets = np.concatenate(
             ([0], np.cumsum([len(idx) for idx in self.members])))
         tree = cKDTree(self.centers)
+        coincident = tree.query_pairs(0.0)
+        if coincident:
+            l, k = min(coincident)
+            raise ConfigError(f"patches {l} and {k} have the same center")
         edges = patch_graph_edges(self.centers, self.radii, tree)
         for owned in (member_index, offsets, edges):
             owned.flags.writeable = False
@@ -178,9 +185,7 @@ class Cover:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
         m = len(self.centers)
-        adj = sparse.coo_matrix((np.ones(len(self.edges)),
-                                 (self.edges[:, 0], self.edges[:, 1])),
-                                shape=(m, m))
+        adj = sparse.coo_matrix((np.ones(len(edges)), edges.T), shape=(m, m))
         n_comp, _ = connected_components(adj, directed=False)
         if n_comp != 1:
             raise CoverConnectivityError(
@@ -200,8 +205,8 @@ class Cover:
         return strict_pairs(points, self.centers, self.radii, self.tree)
 
     def covers(self, points):
-        """Boolean mask: which of the given points lie in some patch."""
-        points = finite_points(points, self.centers.shape[1])
+        """Which points, after ``surface.check``, lie in some patch."""
+        points = self.surface.check(points)
         mask = np.zeros(len(points), dtype=bool)
         for lo in range(0, len(points), QUERY_BLOCK):
             inc = self.incidence(points[lo:lo + QUERY_BLOCK])
@@ -259,15 +264,13 @@ def _initial_radius(surface, spacing, overlap):
 
 
 def patch_graph_edges(centers, radii, tree):
-    """Pairs (l, k), l < k, of patches whose balls intersect; ``tree``
-    indexes ``centers``."""
+    """Pairs (l, k), l < k, of patches whose balls intersect, sorted;
+    ``tree`` indexes ``centers``, and ``query_pairs`` gives l < k."""
     pairs = tree.query_pairs(2.0 * float(np.max(radii)), output_type="ndarray")
     diff = centers[pairs[:, 0]] - centers[pairs[:, 1]]
     dist = np.sqrt((diff * diff).sum(-1))
     keep = dist < radii[pairs[:, 0]] + radii[pairs[:, 1]]
     pairs = pairs[keep]
-    swap = pairs[:, 0] > pairs[:, 1]
-    pairs[swap] = pairs[swap][:, ::-1]
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     return pairs[order]
 
@@ -282,7 +285,7 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     CoverConnectivityError if the resulting patch graph is disconnected.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    nodes = surface.check(nodes)
     if overlap <= 0:
         raise ConfigError("overlap parameter must be positive")
     radii = np.full(len(centers), _initial_radius(surface, spacing, overlap))
@@ -296,7 +299,8 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     inc = strict_pairs(nodes, centers, radii, center_tree)
     keep, starts = np.unique(inc.patch, return_index=True)
     return Cover(centers=centers[keep], radii=radii[keep],
-                 members=np.split(inc.point, starts[1:]), nodes=nodes)
+                 members=np.split(inc.point, starts[1:]), nodes=nodes,
+                 surface=surface)
 
 
 def single_patch_cover(nodes, surface, radius=None):
@@ -312,7 +316,7 @@ def single_patch_cover(nodes, surface, radius=None):
     if radius is None:
         radius = 2.5 * np.sqrt(((nodes - center) ** 2).sum(-1)).max() + 1e-3
     cov = Cover(centers=center[None, :], radii=np.array([float(radius)]),
-                members=[np.arange(len(nodes))], nodes=nodes)
+                members=[np.arange(len(nodes))], nodes=nodes, surface=surface)
     if not cov.covers(nodes).all():
         raise ConfigError("radius does not enclose all nodes")
     return cov
@@ -329,13 +333,13 @@ class WeightEval:
 
 def weights_at(cover, x):
     """Evaluate w_l(x) and grad w_l(x) for every patch containing the one
-    point x (ValueError for any other number of points).
+    point x that passes ``surface.check`` (ValueError otherwise).
 
     The weights are the Shepard quotient kappa_l / sum_j kappa_j with
     kappa_l(x) = kappa(||x - center_l|| / radius_l); gradients come from the
     quotient rule, so they sum to zero across the active patches.
     """
-    x = finite_points(x, cover.centers.shape[1])
+    x = cover.surface.check(x)
     if len(x) != 1:
         raise ValueError(f"weights_at takes one point, got {len(x)}")
     inc = cover.incidence(x)

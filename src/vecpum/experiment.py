@@ -75,6 +75,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.gamma < np.inf:
             raise ValueError("gamma must be nonnegative and finite")
+        if self.area is not None and not 0 < self.area < np.inf:
+            raise ValueError("area must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
@@ -172,14 +174,12 @@ class ExperimentError(VecPumError):
 
 def fit_and_glue(problem, nodes, values, config):
     """Cover, per-patch fits, and potential shifts for one node set."""
-    kernel = RadialKernel(config.kernel, config.eps)
     h = spacing_from_q(config.q, problem.area, len(nodes),
                        problem.surface.intrinsic_dim)
-    centers = problem.make_centers(h)
-    cov = assign_radii_and_inflate(centers, nodes, config.delta,
-                                   problem.surface, h)
-    approx = build_approximant(cov, kernel, problem.surface, problem.mode,
-                               values, gamma=config.gamma)
+    cov = assign_radii_and_inflate(problem.make_centers(h), nodes,
+                                   config.delta, problem.surface, h)
+    approx = build_approximant(cov, RadialKernel(config.kernel, config.eps),
+                               problem.mode, values, gamma=config.gamma)
     return approx, approx.shifts
 
 

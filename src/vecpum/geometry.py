@@ -23,26 +23,6 @@ PLANE_E = np.array([0.0, 1.0, 0.0])
 PLANE_N = np.array([0.0, 0.0, 1.0])
 
 
-def finite_points(points, dim):
-    """The points as an (m, dim) float array, (0, dim) for empty input.
-
-    Raises ValueError naming the shape of points without ``dim`` columns,
-    or naming the rows of non-finite points.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.shape == (0,):
-        return np.zeros((0, dim))
-    points = np.atleast_2d(points)
-    if points.ndim != 2 or points.shape[1] != dim:
-        raise ValueError(f"points of shape {points.shape} do not have "
-                         f"{dim} columns")
-    bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
-    if len(bad):
-        raise ValueError(f"{len(bad)} points are not finite "
-                         f"(rows {bad[:10].tolist()})")
-    return points
-
-
 @dataclass(frozen=True)
 class Surface:
     """Geometry selector: ``plane`` and ``sphere`` live in R^3, ``euclidean``
@@ -64,15 +44,25 @@ class Surface:
                 else ("div_surface", "curl_surface"))
 
     def check(self, points):
-        """``finite_points(points, dim)``, and ValueError naming the worst
-        offset of points more than ``SURFACE_TOL`` off the sphere or plane."""
-        points = finite_points(points, self.dim)
-        if self.kind == "sphere":
-            off = np.abs(np.sqrt((points * points).sum(-1)) - 1.0)
-        elif self.kind == "plane":
-            off = np.abs(points[:, 2])
-        else:
+        """The one point check: the points as an (m, dim) float array, or
+        ValueError naming the shape of points without ``dim`` columns, the
+        rows of non-finite points, or the worst offset of points more than
+        ``SURFACE_TOL`` off the sphere or plane.  Empty input is (0, dim)."""
+        points = np.asarray(points, dtype=float)
+        if points.shape == (0,):
+            return np.zeros((0, self.dim))
+        points = np.atleast_2d(points)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ValueError(f"points of shape {points.shape} do not have "
+                             f"{self.dim} columns")
+        bad = np.nonzero(~np.isfinite(points).all(axis=1))[0]
+        if len(bad):
+            raise ValueError(f"{len(bad)} points are not finite "
+                             f"(rows {bad[:10].tolist()})")
+        if self.kind == "euclidean":
             return points
+        off = (np.abs(points[:, 2]) if self.kind == "plane" else
+               np.abs(np.sqrt((points * points).sum(-1)) - 1.0))
         if np.any(off > SURFACE_TOL):
             raise ValueError(f"points lie off the {self.kind} by up to "
                              f"{off.max():.3e} (tolerance {SURFACE_TOL:g})")

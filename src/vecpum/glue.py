@@ -5,8 +5,8 @@ point per overlapping patch pair carries the condition
 psi_l(x) + b_l = psi_k(x) + b_k, collected into the sparse incidence system
 P b = c whose rank is (patch count - 1) on a connected cover.  The shifts b
 come from (optionally weighted) graph-Laplacian normal equations with one
-anchor shift pinned to zero.  The glue graph reads its edges, patch count
-and member counts from its cover.
+anchor shift pinned to zero.  The glue graph reads its edges, patch count,
+member counts and surface from its cover.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .cover import Cover, read_only
+from .errors import CoverConnectivityError
 
 # Above this many patches the anchored normal equations are solved by a
 # sparse LU factorization instead of a dense Cholesky.
@@ -63,7 +64,7 @@ class ShiftSolution:
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
 
-def build_glue_graph(cover, surface):
+def build_glue_graph(cover):
     """One glue point per overlapping patch pair.
 
     The point is the radius-weighted center of the overlap,
@@ -78,7 +79,7 @@ def build_glue_graph(cover, surface):
     rl = cover.radii[edges[:, 0]][:, None]
     rk = cover.radii[edges[:, 1]][:, None]
     points = (rk * xl + rl * xk) / (rk + rl)
-    points = surface.project(points)
+    points = cover.surface.project(points)
     dist_l = np.sqrt(((points - xl) ** 2).sum(-1))
     dist_k = np.sqrt(((points - xk) ** 2).sum(-1))
     return GlueGraph(cover=cover, points=points,
@@ -119,7 +120,9 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
 
     The anchor defaults to the patch with the most member nodes (lowest
     index on ties); shifting all b_l by a common constant does not change
-    the blended field, so the anchor choice only fixes the gauge.
+    the blended field, so the anchor choice only fixes the gauge.  Edge
+    weights that underflow to zero, or nearly, can leave the normal
+    equations singular, which raises CoverConnectivityError.
     """
     m = len(graph.cover)
     if anchor is None:
@@ -133,12 +136,16 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
     wp = p_red.multiply(w[:, None]).tocsr()
     normal = (p_red.T @ wp).tocsc()
     rhs = p_red.T @ (w * c)
-    if m - 1 <= DENSE_SOLVE_MAX:
-        dense = normal.toarray()
-        factor = sla.cho_factor(dense, lower=False, check_finite=False)
-        sol = sla.cho_solve(factor, rhs, check_finite=False)
-    else:
-        sol = splu(normal).solve(rhs)
+    try:
+        if m - 1 <= DENSE_SOLVE_MAX:
+            factor = sla.cho_factor(normal.toarray(), check_finite=False)
+            sol = sla.cho_solve(factor, rhs, check_finite=False)
+        else:
+            sol = splu(normal).solve(rhs)
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        raise CoverConnectivityError(
+            f"the glue edges with positive weight at gamma={gamma:g} leave "
+            f"the patch graph disconnected, or nearly so") from exc
     shifts = np.zeros(m)
     shifts[keep] = sol
     return ShiftSolution(shifts=shifts, residual=p @ shifts - c,

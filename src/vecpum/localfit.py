@@ -175,7 +175,6 @@ class FitTable:
 
     mode: str
     kernel: RadialKernel
-    surface: geometry.Surface
     cover: Cover
     eval_vectors: np.ndarray
     fit_residual: np.ndarray
@@ -276,41 +275,16 @@ class FitTable:
 
 @dataclass(frozen=True)
 class LocalFit:
-    """A solved interpolation system on one node set: patch ``patch`` of
-    ``table``, whose rows its properties read."""
+    """Patch ``patch`` of ``table``: its nodes, fit residual and
+    evaluators.  Mode, kernel and eval vectors are the table's."""
 
     table: FitTable = field(repr=False)
     patch: int
 
     @property
-    def _cols(self):
-        offsets = self.table.cover.offsets
-        return slice(offsets[self.patch], offsets[self.patch + 1])
-
-    @property
-    def mode(self):
-        return self.table.mode
-
-    @property
-    def kernel(self):
-        return self.table.kernel
-
-    @property
-    def surface(self):
-        return self.table.surface
-
-    @property
     def nodes(self):
         cov = self.table.cover
         return cov.nodes[cov.members[self.patch]]
-
-    @property
-    def eval_vectors(self):
-        return self.table.eval_vectors[:, self._cols].T
-
-    @property
-    def sign(self):
-        return self.table.sign
 
     @property
     def fit_residual(self):
@@ -327,9 +301,9 @@ class LocalFit:
 
     def field_at(self, points):
         """Vector interpolant at the given points (tangent on surfaces)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return geometry.tangent_operator(self.mode, self.surface, points,
-                                         self.field_potential_at(points)[1])
+        return geometry.tangent_operator(
+            self.table.mode, self.table.cover.surface, points,
+            self.field_potential_at(points)[1])
 
     def field_potential_at(self, points):
         """(potential, unprojected field) sharing one pass over the node
@@ -371,18 +345,18 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     return np.ascontiguousarray(evec.T), residual
 
 
-def fit_table(cover, values, kernel, surface, mode):
+def fit_table(cover, values, kernel, mode):
     """Fit every patch of ``cover`` and return the ``FitTable`` of the fits.
 
     Patch l is fit on the rows ``cover.members[l]`` of ``cover.nodes`` and
-    ``values`` (samples that passed ``check_samples``).  Patches are fit
-    serially, in order.
+    ``values`` (samples that passed ``check_samples`` on the cover's
+    surface).  Patches are fit serially, in order.
     """
-    solved = [fit_patch(cover.nodes[idx], values[idx], kernel, surface, mode,
-                        patch_id=l)
+    solved = [fit_patch(cover.nodes[idx], values[idx], kernel, cover.surface,
+                        mode, patch_id=l)
               for l, idx in enumerate(cover.members)]
     evecs, residual = zip(*solved)
-    return FitTable(mode=mode, kernel=kernel, surface=surface, cover=cover,
+    return FitTable(mode=mode, kernel=kernel, cover=cover,
                     eval_vectors=np.concatenate(evecs, axis=1),
                     fit_residual=np.array(residual))
 
@@ -396,5 +370,6 @@ def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
     nodes, values = check_samples(nodes, values, surface, mode)
     # One patch holding every node; the fit reads only its membership.
     whole = Cover(centers=nodes[:1], radii=np.array([np.inf]),
-                  members=[np.arange(len(nodes))], nodes=nodes)
-    return fit_table(whole, values, kernel, surface, mode)[0]
+                  members=[np.arange(len(nodes))], nodes=nodes,
+                  surface=surface)
+    return fit_table(whole, values, kernel, mode)[0]

@@ -10,8 +10,8 @@ shifted potential by the derivative of its weight:
 with D the surface curl (div-free), surface gradient (curl-free on a
 surface), or plain gradient (flat space).  The naive blend (first term
 alone) is kept for comparison; it interpolates but is not conservative.
-An approximant is its fit table and shifts; its cover, mode and surface are
-the table's.
+An approximant is its fit table and shifts; its cover and mode are the
+table's, and its surface is the cover's.
 
 Every batch, of one point or of thousands, takes the same path.  One
 point-patch incidence query (``Cover.incidence``) yields the pairs with the
@@ -43,8 +43,8 @@ from .localfit import FitTable, check_samples, fit_table
 class PumApproximant:
     """An assembled partition-of-unity approximant (immutable).
 
-    ``fits`` is the ``FitTable`` of a cover's patches; its cover, mode and
-    surface are the approximant's, so fits and cover always agree.
+    ``fits`` is the ``FitTable`` of a cover's patches; its cover and mode,
+    and the cover's surface, are the approximant's, so they always agree.
     """
 
     fits: FitTable
@@ -61,7 +61,7 @@ class PumApproximant:
 
     @property
     def surface(self):
-        return self.fits.surface
+        return self.cover.surface
 
     @property
     def mode(self):
@@ -136,18 +136,18 @@ class PumApproximant:
         return pot, field
 
     def covered_mask(self, points):
-        """Which points lie in some patch, after ``Surface.check``."""
-        return self.cover.covers(self.surface.check(points))
+        """Which points lie in some patch (``Cover.covers``)."""
+        return self.cover.covers(points)
 
 
-def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
+def build_approximant(cover, kernel, mode, values, gamma=4.0):
     """Fit every patch, glue the potentials, and return the approximant.
 
     ``values`` are the field samples at ``cover.nodes``, checked once.
     Patches are fit serially, straight into one ``FitTable`` that reads
     their nodes through the cover; threads are used for batch evaluation
     only.  The shifts are the approximant's ``shifts``; its glue graph is
-    ``glue.build_glue_graph(approx.cover, approx.surface)``.
+    ``glue.build_glue_graph(approx.cover)``.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -156,9 +156,9 @@ def build_approximant(cover, kernel, surface, mode, values, gamma=4.0):
     # which the per-patch systems reuse heap pages.  The block is dropped at
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
-    _, values = check_samples(cover.nodes, values, surface, mode)
-    fits = fit_table(cover, values, kernel, surface, mode)
-    graph = glue_mod.build_glue_graph(cover, surface)
+    _, values = check_samples(cover.nodes, values, cover.surface, mode)
+    fits = fit_table(cover, values, kernel, mode)
+    graph = glue_mod.build_glue_graph(cover)
     p, c = glue_mod.build_shift_system(graph, fits)
     solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
     return PumApproximant(fits=fits, shifts=solution)

@@ -10,11 +10,19 @@ for the field.  The kernel must reproduce it bit for bit.
 import numpy as np
 
 
+def eval_vectors(fit):
+    """The fit's eval vectors, one row per node: a view of its table's
+    columns."""
+    offsets = fit.table.cover.offsets
+    cols = slice(offsets[fit.patch], offsets[fit.patch + 1])
+    return fit.table.eval_vectors[:, cols].T
+
+
 def _terms(fit, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     diff = points[:, None, :] - fit.nodes[None, :, :]
     r = np.sqrt((diff * diff).sum(-1))
-    evec = np.ascontiguousarray(fit.eval_vectors)
+    evec = np.ascontiguousarray(eval_vectors(fit))
     proj = (diff * evec[None, :, :]).sum(-1)
     return diff, r, evec, proj
 
@@ -22,34 +30,36 @@ def _terms(fit, points):
 def potential(fit, points):
     """The fit's scalar potential at the points."""
     _, r, _, proj = _terms(fit, points)
-    f = fit.kernel.phi_d1_over_r(r)
-    return fit.sign * (f * proj).sum(-1)
+    f = fit.table.kernel.phi_d1_over_r(r)
+    return fit.table.sign * (f * proj).sum(-1)
 
 
 def field_potential(fit, points):
     """(potential, unprojected field) of the fit at the points."""
     diff, r, evec, proj = _terms(fit, points)
-    f, s = fit.kernel.hessian_coeffs(r)
-    pot = fit.sign * (f * proj).sum(-1)
-    raw = fit.sign * (f[:, :, None] * evec[None, :, :] +
-                      (s * proj)[:, :, None] * diff).sum(axis=1)
+    f, s = fit.table.kernel.hessian_coeffs(r)
+    sign = fit.table.sign
+    pot = sign * (f * proj).sum(-1)
+    raw = sign * (f[:, :, None] * evec[None, :, :] +
+                  (s * proj)[:, :, None] * diff).sum(axis=1)
     return pot, raw
 
 
 def coef_vectors(fit):
     """The fit's expansion coefficients c_j: its eval vectors, or for
     div-free fits c_j = (n_j x c_j) x n_j of the tangent c_j."""
-    if fit.mode != "div_surface":
-        return fit.eval_vectors
-    return np.cross(fit.eval_vectors, fit.surface.normals(fit.nodes))
+    if fit.table.mode != "div_surface":
+        return eval_vectors(fit)
+    return np.cross(eval_vectors(fit),
+                    fit.table.cover.surface.normals(fit.nodes))
 
 
 def alpha_beta(fit):
     """The coefficients' components in the surface's tangent frames at the
     fit's nodes; None in flat space."""
-    if fit.mode == "curl_euclidean":
+    if fit.table.mode == "curl_euclidean":
         return None
-    d, e, _ = fit.surface.tangent_frames(fit.nodes)
+    d, e, _ = fit.table.cover.surface.tangent_frames(fit.nodes)
     coef = coef_vectors(fit)
     return np.stack([(coef * d).sum(-1), (coef * e).sum(-1)], axis=1)
 

@@ -65,7 +65,7 @@ def star_5000():
     cov = cover.assign_radii_and_inflate(centers, nodes, 0.5,
                                          problem.surface, h)
     approx = build_approximant(cov, RadialKernel("imq", 13.0),
-                               problem.surface, "div_surface", values)
+                               "div_surface", values)
     return problem, nodes, values, approx
 
 
@@ -153,8 +153,7 @@ def test_criterion_04_single_patch_matches_global():
     values = problem.field(nodes)
     kernel = RadialKernel("imq", 13.0)
     cov = cover.single_patch_cover(nodes, problem.surface, radius=4.0)
-    approx = build_approximant(cov, kernel, problem.surface,
-                               "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     oracle = fit_global(nodes, values, kernel, problem.surface,
                         "div_surface")
     pts = _interior_star_points(500, SEED + 2)

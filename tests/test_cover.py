@@ -5,6 +5,7 @@ import pytest
 
 from vecpum import cover, geometry, testbed
 from vecpum.errors import ConfigError, CoverageError, CoverConnectivityError
+from vecpum.experiment import default_config
 
 
 BOX = ((0.0, 0.0), (1.0, 1.0))
@@ -170,7 +171,8 @@ def test_cover_is_frozen_and_owns_its_arrays():
     radii = np.array([0.6, 0.6])
     nodes = np.array([[0.1, 0.0], [0.9, 0.0]])
     cov = cover.Cover(centers=centers, radii=radii,
-                      members=[np.array([0]), np.array([1])], nodes=nodes)
+                      members=[np.array([0]), np.array([1])], nodes=nodes,
+                      surface=geometry.euclidean(2))
     assert cov.edges.tolist() == [[0, 1]]
     with pytest.raises(ValueError, match="read-only"):
         cov.radii[1] = 0.1
@@ -187,7 +189,8 @@ def test_cover_is_frozen_and_owns_its_arrays():
     assert cov.radii[1] == 0.6 and cov.nodes[0, 0] == 0.1
     assert cov.covers(np.array([[0.5, 0.0]])).all()
     again = cover.Cover(centers=cov.centers, radii=cov.radii,
-                        members=cov.members, nodes=cov.nodes)
+                        members=cov.members, nodes=cov.nodes,
+                        surface=cov.surface)
     assert again.centers is cov.centers and again.nodes is cov.nodes
 
 
@@ -282,13 +285,64 @@ def test_weights_reject_bad_points():
         cover.weights_at(cov, np.array([0.5, 0.5, 0.0]))
 
 
+def default_cover_parts(name, n, seed):
+    """A built-in problem's nodes, default patch spacing and centers."""
+    problem = testbed.PROBLEMS[name]()
+    nodes = problem.nodes(n, seed)
+    h = cover.spacing_from_q(default_config(name).q, problem.area, n,
+                             problem.surface.intrinsic_dim)
+    return problem, nodes, h, problem.make_centers(h)
+
+
+@pytest.mark.parametrize("name", ["star2d", "sphere"])
+def test_cover_checks_query_points_on_its_surface(name):
+    # Nodes moved 1e-6 off the plane, or scaled by 1.001 off the sphere,
+    # used to pass ``covers`` and ``weights_at``; ``covered_mask`` refused
+    # them.
+    problem, nodes, h, centers = default_cover_parts(name, 600, 9)
+    cov = cover.assign_radii_and_inflate(
+        centers, nodes, default_config(name).delta, problem.surface, h)
+    assert cov.surface is problem.surface
+    off = cov.nodes[:5].copy()
+    if name == "star2d":
+        off[:, 2] = 1e-6
+    else:
+        off *= 1.001
+    assert cov.covers(cov.nodes[:5]).all()
+    assert len(cover.weights_at(cov, cov.nodes[0]).indices)
+    with pytest.raises(ValueError, match="off the"):
+        cov.covers(off)
+    with pytest.raises(ValueError, match="off the"):
+        cover.weights_at(cov, off[0])
+
+
+def test_cover_checks_its_nodes():
+    nodes = np.array([[0.1, 0.0, 0.0], [0.9, 0.0, 1e-6]])
+    with pytest.raises(ValueError, match="off the plane"):
+        cover.Cover(centers=np.array([[0.0, 0.0, 0.0]]),
+                    radii=np.array([2.0]), members=[np.arange(2)],
+                    nodes=nodes, surface=geometry.plane2d())
+
+
+def test_coincident_centers_rejected():
+    # A copy of center 0 used to keep both patches.  Their glue point sat
+    # on the shared center, so the glue weights were 0/0 and every shift,
+    # potential and field value came out NaN.
+    problem, nodes, h, centers = default_cover_parts("star2d", 600, 9)
+    twice = np.concatenate([centers, centers[:1]])
+    with pytest.raises(ConfigError,
+                       match=r"patches 0 and \d+ have the same center"):
+        cover.assign_radii_and_inflate(twice, nodes, 0.5, problem.surface, h)
+
+
 def test_weights_take_exactly_one_point():
     # Two overlapping disks: a batch of points would mix their Shepard
     # quotients into one normalization, so only a single point is accepted.
     cov = cover.Cover(centers=np.array([[0.0, 0.0], [1.0, 0.0]]),
                       radii=np.array([0.8, 0.8]),
                       members=[np.array([0]), np.array([1])],
-                      nodes=np.array([[0.0, 0.0], [1.0, 0.0]]))
+                      nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                      surface=geometry.euclidean(2))
     for pts in ([[0.1, 0.0], [0.5, 0.0]], np.zeros((0, 2))):
         with pytest.raises(ValueError, match="one point"):
             cover.weights_at(cov, np.array(pts))

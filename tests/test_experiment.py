@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,49 @@ def test_cli_rejects_non_finite_parameters(problem, args, capsys,
     assert cli.main(problem + args) == 2
     assert runs == []
     assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("area", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_bad_area(area, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli.main(["--problem", "custom", "--nodes-file", "n.txt",
+                     "--values-file", "v.txt", "--area", area]) == 2
+    assert runs == []
+    assert "area must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_gamma_that_disconnects_the_glue_fails_typed(tmp_path, capsys):
+    # At gamma=1e6 every glue weight but the nearest underflows to zero;
+    # the run used to fail with numpy's "not positive definite".
+    run = ["--problem", "star2d", "--n", "2500", "--trials", "1",
+           "--eval-n", "500"]
+    assert cli.main(run + ["--gamma", "1e6"]) == 1
+    err = capsys.readouterr().err
+    assert "positive weight at gamma=1e+06" in err and "disconnected" in err
+    assert cli.main(run + ["--gamma", "1000"]) == 0
+
+
+SEEDED = os.path.join(os.path.dirname(__file__), "data", "seeded_outputs.csv")
+
+
+@pytest.mark.parametrize("problem,n", [("star2d", 2500), ("sphere", 2000),
+                                       ("ball", 3000)])
+def test_seeded_outputs_match_reference(problem, n, tmp_path):
+    # Columns 1-8 are the configuration and must match exactly; the errors
+    # in columns 9-13 may differ between BLAS builds only in the last bits.
+    out = tmp_path / "run.csv"
+    assert cli.main(["--problem", problem, "--n", str(n), "--trials", "1",
+                     "--seed", "3", "--eval-n", "3000",
+                     "--out", str(out)]) == 0
+    (got,) = read_rows(out)
+    (want,) = [row for row in read_rows(SEEDED) if row["problem"] == problem]
+    names = list(want)
+    assert names == experiment.CSV_HEADER.split(",")[:13]
+    assert [got[k] for k in names[:8]] == [want[k] for k in names[:8]]
+    assert np.allclose([float(got[k]) for k in names[8:]],
+                       [float(want[k]) for k in names[8:]],
+                       rtol=1e-9, atol=0.0)
 
 
 def test_non_finite_parameters_rejected():

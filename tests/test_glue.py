@@ -6,19 +6,22 @@ import pytest
 
 import pair_oracle
 from vecpum import geometry, glue, testbed
-from vecpum.cover import Cover, single_patch_cover
+from vecpum.cover import (Cover, assign_radii_and_inflate,
+                          single_patch_cover, spacing_from_q)
 from vecpum.errors import CoverConnectivityError
 from vecpum.experiment import default_config, fit_and_glue
 from vecpum.kernels import RadialKernel
 from vecpum.pum import build_approximant
 
 
-def make_cover(centers, radii, counts):
-    """Hand-built cover with synthetic member counts for glue tests."""
+def make_cover(centers, radii, counts, surface=None):
+    """Hand-built cover with synthetic member counts for glue tests, in
+    flat space unless ``surface`` is given; its nodes sit at center 0."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     return Cover(centers=centers, radii=np.asarray(radii, dtype=float),
                  members=[np.arange(k) for k in counts],
-                 nodes=np.zeros((max(counts), centers.shape[1])))
+                 nodes=np.repeat(centers[:1], max(counts), axis=0),
+                 surface=surface or geometry.euclidean(centers.shape[1]))
 
 
 class ConstantPotentials:
@@ -38,12 +41,10 @@ def chain_cover():
     return make_cover(centers, [0.7, 0.7, 0.7], [5, 3, 2])
 
 
-EUC2 = geometry.euclidean(2)
-
 
 def test_glue_point_midpoint_for_equal_radii():
     cov = make_cover([[0.0, 0.0], [1.0, 0.0]], [0.7, 0.7], [4, 2])
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     assert len(graph) == 1
     assert np.allclose(graph.points[0], [0.5, 0.0])
     assert graph.r_near[0] == pytest.approx(0.5)
@@ -51,7 +52,7 @@ def test_glue_point_midpoint_for_equal_radii():
 
 def test_glue_point_weighted_by_radii():
     cov = make_cover([[0.0, 0.0], [2.0, 0.0]], [1.0, 3.0], [4, 2])
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     # (rho_k xi_l + rho_l xi_k) / (rho_k + rho_l) = (3*0 + 1*2)/4
     assert np.allclose(graph.points[0], [0.5, 0.0])
     # the glue point sits strictly inside both patches
@@ -62,15 +63,15 @@ def test_glue_point_weighted_by_radii():
 def test_glue_point_projected_to_sphere():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
-    cov = make_cover([a, b], [1.2, 1.2], [4, 2])
-    graph = glue.build_glue_graph(cov, geometry.sphere2())
+    cov = make_cover([a, b], [1.2, 1.2], [4, 2], geometry.sphere2())
+    graph = glue.build_glue_graph(cov)
     assert np.linalg.norm(graph.points[0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_edges_only_for_overlaps():
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
     cov = make_cover(centers, [0.6, 0.6, 1.5], [1, 1, 1])
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     edges = {tuple(e) for e in graph.edges}
     assert edges == {(0, 1), (1, 2)}
 
@@ -107,7 +108,7 @@ def test_fit_and_glue_builds_the_patch_graph_once(monkeypatch):
 
 def test_shift_system_identical_potentials():
     cov = chain_cover()
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     fits = ConstantPotentials(2.5, 2.5, 2.5)
     p, c = glue.build_shift_system(graph, fits)
     assert np.abs(c).max() == 0.0
@@ -119,7 +120,7 @@ def test_shift_system_identical_potentials():
 
 def test_shift_system_chain_offsets():
     cov = chain_cover()
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     fits = ConstantPotentials(0.0, 1.0, 3.0)
     p, c = glue.build_shift_system(graph, fits)
     # c_i = psi_k - psi_l over edges (0,1) and (1,2)
@@ -149,7 +150,7 @@ def glued(request):
     nodes = problem.nodes(1500, np.random.SeedSequence(7))
     approx, _ = fit_and_glue(problem, nodes, problem.field(nodes),
                              default_config(request.param))
-    return approx, glue.build_glue_graph(approx.cover, problem.surface)
+    return approx, glue.build_glue_graph(approx.cover)
 
 
 def test_shift_system_matches_per_patch_scan(glued):
@@ -192,9 +193,32 @@ def test_sparse_shift_solve_matches_dense(glued, monkeypatch):
     assert np.abs(sparse.residual - dense.residual).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("dense_max", [glue.DENSE_SOLVE_MAX, 0])
+@pytest.mark.parametrize("offset", [1e-3, 1e-12])
+def test_underflowing_glue_weights_raise_connectivity_error(
+        offset, dense_max, monkeypatch):
+    # A copy of center 0 moved by ``offset`` gives one glue point almost
+    # at its patches' centers, so r_min is tiny and every other edge weight
+    # exp(-gamma (1 - r/r_min)^2) underflows to zero.  The factorization of
+    # the weighted system then failed with a raw LinAlgError (Cholesky) or
+    # RuntimeError (splu).
+    monkeypatch.setattr(glue, "DENSE_SOLVE_MAX", dense_max)
+    problem = testbed.star_problem()
+    nodes = problem.nodes(600, 9)
+    config = default_config("star2d")
+    h = spacing_from_q(config.q, problem.area, len(nodes), 2)
+    centers = problem.make_centers(h)
+    near = np.concatenate([centers, centers[:1] + [offset, 0.0, 0.0]])
+    cov = assign_radii_and_inflate(near, nodes, config.delta,
+                                   problem.surface, h)
+    with pytest.raises(CoverConnectivityError, match="positive weight"):
+        build_approximant(cov, RadialKernel(config.kernel, config.eps),
+                          problem.mode, problem.field(nodes))
+
+
 def test_solve_shifts_zero_rhs():
     cov = chain_cover()
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     p, c = glue.build_shift_system(graph, ConstantPotentials(0.0, 0.0, 0.0))
     sol = glue.solve_shifts(p, c, graph, gamma=4.0)
     assert np.abs(sol.shifts).max() == 0.0
@@ -203,7 +227,7 @@ def test_solve_shifts_zero_rhs():
 
 def test_solve_shifts_chain_matches_brute_force():
     cov = chain_cover()
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     fits = ConstantPotentials(0.0, 1.0, 3.0)
     p, c = glue.build_shift_system(graph, fits)
     sol = glue.solve_shifts(p, c, graph, gamma=0.0)
@@ -224,7 +248,7 @@ def test_solve_shifts_chain_matches_brute_force():
 
 def test_glue_weights():
     cov = chain_cover()
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     w = glue.glue_weights(graph, 4.0)
     assert ((w > 0) & (w <= 1.0)).all()
     assert w[np.argmin(graph.r_near)] == 1.0
@@ -235,7 +259,7 @@ def test_glue_weights():
 
 @pytest.mark.parametrize("gamma", [np.inf, np.nan])
 def test_glue_weights_reject_non_finite_gamma(gamma):
-    graph = glue.build_glue_graph(chain_cover(), EUC2)
+    graph = glue.build_glue_graph(chain_cover())
     with pytest.raises(ValueError, match="finite"):
         glue.glue_weights(graph, gamma)
 
@@ -244,7 +268,7 @@ def test_weighted_solve_on_loop_graph():
     # a 4-cycle with inconsistent c has nonzero residual; weighting tilts it
     centers = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cov = make_cover(centers, [0.8, 0.8, 0.8, 0.8], [4, 3, 2, 1])
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     assert len(graph) >= 4
     p, _ = glue.build_shift_system(graph, ConstantPotentials(*[0.0] * 4))
     rng = np.random.default_rng(2)
@@ -259,7 +283,7 @@ def test_weighted_solve_on_loop_graph():
 
 def test_single_patch_no_edges():
     cov = make_cover([[0.0, 0.0]], [1.0], [7])
-    graph = glue.build_glue_graph(cov, EUC2)
+    graph = glue.build_glue_graph(cov)
     assert len(graph) == 0
     p, c = glue.build_shift_system(graph, ConstantPotentials(4.0))
     sol = glue.solve_shifts(p, c, graph, gamma=4.0)
@@ -273,9 +297,9 @@ def test_single_patch_build_solves():
     nodes = problem.nodes(200, np.random.SeedSequence(3))
     cov = single_patch_cover(nodes, problem.surface)
     approx = build_approximant(
-        cov, RadialKernel("imq", 7.0), problem.surface, problem.mode,
+        cov, RadialKernel("imq", 7.0), problem.mode,
         problem.field(nodes))
-    graph, sol = glue.build_glue_graph(cov, problem.surface), approx.shifts
+    graph, sol = glue.build_glue_graph(cov), approx.shifts
     p, c = glue.build_shift_system(graph, approx.fits)
     assert len(graph) == 0 and p.shape == (0, 1) and c.shape == (0,)
     assert np.array_equal(sol.shifts, [0.0])

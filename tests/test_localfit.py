@@ -37,18 +37,19 @@ def _phi_div_2d(eps, dx, dy):
                      [fxy(dx, dy), -fxx(dx, dy)]])
 
 
-def stacked_cover(nodes, members):
-    """A cover of coincident unit patches with the given members; only its
-    membership is read by a fit table."""
+def stacked_cover(nodes, members, surface):
+    """A chain of overlapping unit patches with the given members; only its
+    membership and surface are read by a fit table."""
     centers = np.zeros((len(members), nodes.shape[1]))
+    centers[:, 0] = 0.5 * np.arange(len(members))
     return Cover(centers=centers, radii=np.ones(len(members)),
-                 members=members, nodes=nodes)
+                 members=members, nodes=nodes, surface=surface)
 
 
 def fit_one(nodes, values, kernel, surface, mode):
     """The fit of one patch holding every node."""
-    cov = stacked_cover(nodes, [np.arange(len(nodes))])
-    return fit_table(cov, values, kernel, surface, mode)[0]
+    cov = stacked_cover(nodes, [np.arange(len(nodes))], surface)
+    return fit_table(cov, values, kernel, mode)[0]
 
 
 def random_sphere_patch(rng, n, cap=0.5):
@@ -429,13 +430,18 @@ def test_fit_global_equivalence_and_guard():
 
 def assert_samples_rejected(pts, vals, surface, mode, match=None):
     """check_samples, fit_global and build_approximant (over one patch
-    holding every node) all raise ValueError for these samples."""
+    holding every node, whose cover may be what raises) all raise
+    ValueError for these samples."""
     k = RadialKernel("imq", 1.0)
-    cov = Cover(centers=np.zeros((1, pts.shape[1])), radii=np.array([1e3]),
-                members=[np.arange(len(pts))], nodes=pts)
+
+    def build():
+        cov = Cover(centers=np.zeros((1, pts.shape[1])),
+                    radii=np.array([1e3]), members=[np.arange(len(pts))],
+                    nodes=pts, surface=surface)
+        return build_approximant(cov, k, mode, vals)
+
     for call in (lambda: check_samples(pts, vals, surface, mode),
-                 lambda: fit_global(pts, vals, k, surface, mode),
-                 lambda: build_approximant(cov, k, surface, mode, vals)):
+                 lambda: fit_global(pts, vals, k, surface, mode), build):
         with pytest.raises(ValueError, match=match):
             call()
 
@@ -458,7 +464,7 @@ def test_sampleset_validation():
                    "div_surface")
     with pytest.raises(ConfigError, match="member"):
         Cover(centers=np.zeros((1, 3)), radii=np.array([1.0]),
-              members=[np.arange(0)], nodes=empty)
+              members=[np.arange(0)], nodes=empty, surface=PLANE)
 
 
 def test_tangency_tolerance_spans_the_whole_set():
@@ -572,8 +578,9 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     values = np.empty_like(nodes)
     nodes[member_index] = np.concatenate([pts for pts, _ in samples])
     values[member_index] = np.concatenate([vals for _, vals in samples])
-    cov = stacked_cover(nodes, np.split(member_index, np.cumsum(sizes)[:-1]))
-    table = fit_table(cov, values, kernel, surface, mode)
+    cov = stacked_cover(nodes, np.split(member_index, np.cumsum(sizes)[:-1]),
+                        surface)
+    table = fit_table(cov, values, kernel, mode)
     assert table.cover is cov
     assert table.sign == (1.0 if mode == "div_surface" else -1.0)
     fits = list(table)
@@ -581,8 +588,8 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     for fit, (pts, vals) in zip(fits, samples):
         evec, residual = fit_patch(pts, vals, kernel, surface, mode)
         assert pair_oracle.same_bits(fit.nodes, pts)
-        assert pair_oracle.same_bits(fit.eval_vectors, evec.T)
-        assert (fit.sign, fit.fit_residual) == (table.sign, residual)
+        assert pair_oracle.same_bits(pair_oracle.eval_vectors(fit), evec.T)
+        assert fit.fit_residual == residual
     want = [pair_oracle.field_potential(f, probes) for f in fits]
     want_psi = [pair_oracle.potential(f, probes) for f in fits]
     for fit, (pot, raw), psi in zip(fits, want, want_psi):

@@ -72,8 +72,16 @@ def test_covers_matches_brute_force(built, name, data):
     direction = np.zeros((n, 3))
     direction[:, :dim] = np.random.default_rng(seed).normal(size=(n, dim))
     direction /= np.sqrt((direction * direction).sum(-1))[:, None]
-    points = (cover.centers[patch] +
-              (scale * cover.radii[patch])[:, None] * direction)
+    reach = scale * cover.radii[patch]
+    points = cover.centers[patch] + reach[:, None] * direction
+    if name == "sphere":
+        # Points off the sphere are rejected, so turn the center along a
+        # tangent direction by the angle whose chord is the reach.
+        center = cover.centers[patch]
+        tangent = direction - (direction * center).sum(-1)[:, None] * center
+        tangent /= np.sqrt((tangent * tangent).sum(-1))[:, None]
+        angle = 2.0 * np.arcsin(np.minimum(1.0, reach / 2.0))[:, None]
+        points = np.cos(angle) * center + np.sin(angle) * tangent
     assert np.array_equal(cover.covers(points),
                           brute_force_covers(cover, points))
 
@@ -169,8 +177,8 @@ def second_field(approx, rng):
 
 def blend(approx, values, pts):
     """(potential, field) at pts of the blend of values on approx's cover."""
-    fit = build_approximant(approx.cover, approx.fits[0].kernel,
-                            approx.surface, approx.mode, values)
+    fit = build_approximant(approx.cover, approx.fits.kernel, approx.mode,
+                            values)
     return fit.batch_eval(pts)
 
 

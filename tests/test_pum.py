@@ -45,7 +45,7 @@ def star_points(m, seed):
 def star_approx():
     nodes, values, cov = star_setup(1500, seed=4)
     kernel = RadialKernel("imq", 7.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     return nodes, values, approx
 
 
@@ -54,7 +54,7 @@ def test_single_patch_cover_matches_global_fit():
     values = geometry.embed_points(testbed.u1(nodes[:, :2]))
     kernel = RadialKernel("imq", 7.0)
     cov = cover.single_patch_cover(nodes, PLANE, radius=4.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     oracle = fit_global(nodes, values, kernel, PLANE, "div_surface")
     pts = star_points(200, seed=6)
     pot_p, field_p = approx.batch_eval(pts)
@@ -70,7 +70,7 @@ def test_single_patch_cover_matches_global_fit():
 def test_common_shift_moves_potential_exactly():
     nodes, values, cov = star_setup(600, seed=9)
     kernel = RadialKernel("imq", 7.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     pts = star_points(50, seed=10)
     pot0, field0 = approx.batch_eval(pts)
     solution = approx.shifts
@@ -141,9 +141,9 @@ def test_covered_mask_agrees_with_evaluation_at_the_boundary():
     nodes = np.random.default_rng(1).uniform(-0.4, 0.4, (60, 2))
     cov = cover.Cover(centers=np.zeros((1, 2)),
                       radii=np.array([0.6732655185893088]),
-                      members=[np.arange(60)], nodes=nodes)
-    approx = build_approximant(cov, RadialKernel("imq", 2.0),
-                               geometry.euclidean(2), "curl_euclidean",
+                      members=[np.arange(60)], nodes=nodes,
+                      surface=geometry.euclidean(2))
+    approx = build_approximant(cov, RadialKernel("imq", 2.0), "curl_euclidean",
                                -nodes)
     pt = np.array([[float.fromhex("-0x1.c183fdabb7693p-2"),
                     float.fromhex("-0x1.055cc0996653ep-1")]])
@@ -205,7 +205,8 @@ def test_fits_live_in_one_table(request, name):
     assert len(table) == len(cov)
     for l, (fit, idx) in enumerate(zip(table, cov.members)):
         assert fit.patch == l and fit.table is table
-        assert np.shares_memory(fit.eval_vectors, table.eval_vectors)
+        assert np.shares_memory(pair_oracle.eval_vectors(fit),
+                                table.eval_vectors)
         assert np.shares_memory(idx, cov.member_index)
         assert not any(isinstance(v, np.ndarray) for v in vars(fit).values())
         assert np.array_equal(fit.nodes, cov.nodes[idx])
@@ -315,14 +316,14 @@ def test_near_interpolation_bound_at_nodes(star_approx):
 def test_identical_potentials_zero_correction():
     nodes, values, cov = star_setup(500, seed=14)
     kernel = RadialKernel("imq", 7.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     one = fit_global(nodes, values, kernel, PLANE, "div_surface").table
     # L copies of the one fit, on a cover with the patches of ``cov`` whose
     # every patch holds the one fit's members.
     n_patch = len(cov)
     every = cover.Cover(centers=cov.centers, radii=cov.radii,
                         members=[one.cover.member_index] * n_patch,
-                        nodes=one.cover.nodes)
+                        nodes=one.cover.nodes, surface=PLANE)
     copies = dataclasses.replace(
         one, cover=every, eval_vectors=np.tile(one.eval_vectors, n_patch),
         fit_residual=np.repeat(one.fit_residual, n_patch))
@@ -350,7 +351,7 @@ def plane_divergence_fd(field_fn, x, step):
 def test_conservation_vs_naive_blend():
     nodes, values, cov = star_setup(2000, seed=16)
     kernel = RadialKernel("imq", 13.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     pts = star_points(100, seed=17)
     _, field = approx.batch_eval(pts)
     scale = np.sqrt((field**2).sum(-1)).max()
@@ -401,9 +402,8 @@ def test_flat_curl_free_blend():
     cov = cover.assign_radii_and_inflate(
         cover.centers_plane(((-1, -1), (1, 1)), None, h), nodes, 0.5,
         surface, h)
-    approx = build_approximant(cov, RadialKernel("imq", 3.0), surface,
-                               "curl_euclidean",
-                               testbed.grad_psi1(nodes))
+    approx = build_approximant(cov, RadialKernel("imq", 3.0),
+                               "curl_euclidean", testbed.grad_psi1(nodes))
     assert len(approx.cover) == 52
     pts = np.random.default_rng(8).uniform(-0.95, 0.95, (400, 2))
     _, field = approx.batch_eval(pts)
@@ -432,8 +432,7 @@ def test_sphere_curl_free_blend():
     cov = cover.assign_radii_and_inflate(cover.centers_sphere(h), nodes,
                                          9.0 / 16.0, surface, h)
     approx = build_approximant(cov, RadialKernel("matern4", 7.5),
-                               surface, "curl_surface",
-                               tangent_grad_psi2(nodes))
+                               "curl_surface", tangent_grad_psi2(nodes))
     assert len(approx.cover) == 38
     pts = testbed.nodes_sphere(400, 6)
     _, field = approx.batch_eval(pts)
@@ -473,9 +472,9 @@ def test_field_is_derivative_of_potential(star_approx):
 def test_anchor_invariance_of_reconstruction():
     nodes, values, cov = star_setup(800, seed=21)
     kernel = RadialKernel("imq", 7.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     from vecpum.glue import build_shift_system, solve_shifts
-    graph = glue.build_glue_graph(cov, PLANE)
+    graph = glue.build_glue_graph(cov)
     p, c = build_shift_system(graph, approx.fits)
     sol_a = solve_shifts(p, c, graph, gamma=4.0, anchor=0)
     sol_b = solve_shifts(p, c, graph, gamma=4.0, anchor=len(cov) - 1)
@@ -501,8 +500,7 @@ def test_shift_quality_tracks_field_error():
     cov = cov_mod.assign_radii_and_inflate(prob.make_centers(h), nodes,
                                            9.0 / 16.0, prob.surface, h)
     kernel = RadialKernel("matern4", 7.5)
-    approx = build_approximant(cov, kernel, prob.surface,
-                               "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     eval_pts = prob.nodes(4000, 32)
     _, field = approx.batch_eval(eval_pts)
     err_scale = np.sqrt(((field - prob.field(eval_pts)) ** 2).sum(-1)).max()
@@ -534,7 +532,7 @@ def test_workers_do_not_change_results():
 def test_partition_of_unity_consistency_mismatch_raises():
     nodes, values, cov = star_setup(300, seed=19)
     kernel = RadialKernel("imq", 7.0)
-    approx = build_approximant(cov, kernel, PLANE, "div_surface", values)
+    approx = build_approximant(cov, kernel, "div_surface", values)
     one_fit = fit_global(nodes, values, kernel, PLANE, "div_surface").table
     one_shift = glue.ShiftSolution(shifts=np.zeros(1), residual=np.zeros(0),
                                    anchor=0)
@@ -549,7 +547,7 @@ def test_mode_and_surface_are_the_tables(star_approx):
     # cannot be given another mode than its fits were solved in.
     _, _, approx = star_approx
     assert approx.mode is approx.fits.mode == "div_surface"
-    assert approx.surface is approx.fits.surface
+    assert approx.surface is approx.cover.surface
     for name in ("cover", "fits", "shifts", "mode", "surface"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(approx, name, getattr(approx, name))
@@ -566,7 +564,7 @@ def test_fits_bring_their_own_cover():
     for seed in (9, 10):
         _, values, cov = star_setup(600, seed=seed)
         approxes.append(build_approximant(cov, RadialKernel("imq", 7.0),
-                                          PLANE, "div_surface", values))
+                                          "div_surface", values))
     a9, a10 = approxes
     assert len(a9.cover) == len(a10.cover) == 10
     mixed = PumApproximant(fits=a10.fits, shifts=a9.shifts)
@@ -583,7 +581,7 @@ def test_fits_bring_their_own_cover():
 
 def test_membership_is_held_once_by_the_cover():
     _, values, cov = star_setup(600, seed=10)
-    table = localfit.fit_table(cov, values, RadialKernel("imq", 7.0), PLANE,
+    table = localfit.fit_table(cov, values, RadialKernel("imq", 7.0),
                                "div_surface")
     assert table.cover is cov
     offsets = cov.offsets
@@ -597,9 +595,10 @@ def test_membership_is_held_once_by_the_cover():
         assert idx.base is cov.member_index
         assert np.array_equal(idx, cov.member_index[offsets[l]:
                                                     offsets[l + 1]])
-    # The table and the approximant hold no membership of their own.
+    # The table and the approximant hold no membership or surface of their
+    # own.
     assert [f.name for f in dataclasses.fields(table)] == [
-        "mode", "kernel", "surface", "cover", "eval_vectors", "fit_residual"]
+        "mode", "kernel", "cover", "eval_vectors", "fit_residual"]
     assert [f.name for f in dataclasses.fields(PumApproximant)] == [
         "fits", "shifts"]
 
@@ -619,7 +618,7 @@ def reachable_arrays(obj):
 
 def test_nothing_an_approximant_reads_is_writable(star_approx):
     _, _, approx = star_approx
-    graph = glue.build_glue_graph(approx.cover, approx.surface)
+    graph = glue.build_glue_graph(approx.cover)
     arrays = list(reachable_arrays((approx, graph)))
     for want in (approx.fits.eval_vectors, approx.cover.nodes,
                  approx.cover.members[0], approx.shifts.residual,
@@ -634,7 +633,7 @@ def test_nothing_an_approximant_reads_is_writable(star_approx):
 def test_shifts_are_read_only():
     # ``approx.shifts.shifts[3] += 1`` used to move the field by up to 48.
     _, values, cov = star_setup(600, seed=10)
-    approx = build_approximant(cov, RadialKernel("imq", 7.0), PLANE,
+    approx = build_approximant(cov, RadialKernel("imq", 7.0),
                                "div_surface", values)
     with pytest.raises(ValueError, match="read-only"):
         approx.shifts.shifts[3] += 1
@@ -646,7 +645,7 @@ def test_moving_a_caller_node_leaves_the_field():
     # The cover used to hold the caller's node array: moving one node by
     # 1e-2 after the build moved the field by 0.16.
     nodes, values, cov = star_setup(600, seed=10)
-    approx = build_approximant(cov, RadialKernel("imq", 7.0), PLANE,
+    approx = build_approximant(cov, RadialKernel("imq", 7.0),
                                "div_surface", values)
     pts = star_points(400, seed=12)
     pts = pts[approx.covered_mask(pts)]
