@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .cover import Cover, read_only
@@ -120,9 +121,11 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
 
     The anchor defaults to the patch with the most member nodes (lowest
     index on ties); shifting all b_l by a common constant does not change
-    the blended field, so the anchor choice only fixes the gauge.  Edge
-    weights that underflow to zero, or nearly, can leave the normal
-    equations singular, which raises CoverConnectivityError.
+    the blended field, so the anchor choice only fixes the gauge.  Unless
+    the edges of weight at least sqrt(eps) connect the patch graph (that
+    is, the smallest weight on a maximum spanning tree is at least
+    sqrt(eps)), the shifts would rest on weights at the rounding level,
+    and CoverConnectivityError is raised.
     """
     m = len(graph.cover)
     if anchor is None:
@@ -131,6 +134,14 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
         return ShiftSolution(shifts=np.zeros(m), residual=np.zeros(0),
                              anchor=anchor)
     w = glue_weights(graph, gamma)
+    message = (f"the glue edges with positive weight at gamma={gamma:g} "
+               "leave the patch graph disconnected, or nearly so")
+    strong = graph.edges[w >= np.sqrt(np.finfo(float).eps)]
+    linked = sparse.coo_matrix((np.ones(len(strong)), strong.T),
+                               shape=(m, m))
+    if connected_components(linked, directed=False)[0] != 1:
+        raise CoverConnectivityError(
+            f"{message}: the edges of weight >= sqrt(eps) do not connect it")
     keep = np.arange(m) != anchor
     p_red = p[:, keep]
     wp = p_red.multiply(w[:, None]).tocsr()
@@ -143,9 +154,7 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
         else:
             sol = splu(normal).solve(rhs)
     except (np.linalg.LinAlgError, RuntimeError) as exc:
-        raise CoverConnectivityError(
-            f"the glue edges with positive weight at gamma={gamma:g} leave "
-            f"the patch graph disconnected, or nearly so") from exc
+        raise CoverConnectivityError(message) from exc
     shifts = np.zeros(m)
     shifts[keep] = sol
     return ShiftSolution(shifts=shifts, residual=p @ shifts - c,

@@ -181,23 +181,35 @@ def u3(points):
 MIN_NODES = 10
 
 
-def _accept(cand, accepted, min_dist):
+def _accept(cand, forest, min_dist):
     """Mask of the candidates that dart throwing keeps, in order.
 
-    A candidate is kept when its squared distance to every point of
-    ``accepted`` and to every earlier kept candidate is at least
-    ``min_dist**2``.  The k-d trees search slightly beyond ``min_dist`` and
-    every pair they return is re-checked with that exact test.
+    A candidate is kept when its squared distance to every point of the
+    static k-d trees in ``forest`` and to every earlier kept candidate is
+    at least ``min_dist**2``.  The trees search slightly beyond
+    ``min_dist`` and every point they return is re-checked with that exact
+    test.  Each tree, largest first, is asked only for the nearest point to
+    each candidate still kept; where that point fails the exact test, all
+    of the tree's points within reach of that candidate are checked.
     """
     r2 = min_dist * min_dist
     reach = min_dist * (1.0 + 1e-9)
     keep = np.ones(len(cand), dtype=bool)
+    for forest_tree in forest:
+        alive = np.flatnonzero(keep)
+        _, j = forest_tree.query(cand[alive], distance_upper_bound=reach)
+        found = j < forest_tree.n
+        alive, j = alive[found], j[found]
+        close = ((forest_tree.data[j] - cand[alive]) ** 2).sum(-1) < r2
+        keep[alive[close]] = False
+        unsure = alive[~close]
+        if len(unsure):
+            near = forest_tree.sparse_distance_matrix(
+                cKDTree(cand[unsure]), reach, output_type="ndarray")
+            i, j = near["i"], near["j"]
+            keep[unsure[j[((forest_tree.data[i] - cand[unsure[j]]) ** 2)
+                          .sum(-1) < r2]]] = False
     tree = cKDTree(cand)
-    if len(accepted):
-        near = tree.sparse_distance_matrix(cKDTree(accepted), reach,
-                                           output_type="ndarray")
-        i, j = near["i"], near["j"]
-        keep[i[((accepted[j] - cand[i]) ** 2).sum(-1) < r2]] = False
     first, later = tree.query_pairs(reach, output_type="ndarray").T
     close = keep[first] & keep[later] & (
         ((cand[first] - cand[later]) ** 2).sum(-1) < r2)
@@ -213,15 +225,20 @@ def _accept(cand, accepted, min_dist):
 
 
 def _poisson_disk(n_target, min_dist, propose, inside, rng):
-    """Dart throwing with batched k-d tree acceptance.
+    """Dart throwing against a logarithmic forest of static k-d trees.
 
     ``propose(rng, m)`` draws candidate points and ``inside`` filters them.
     Candidates are drawn 4096 at a time and accepted in proposal order, so
-    the result is that of testing them one by one.  Returns up to
-    ``n_target`` (positive) points with pairwise squared distance at least
-    ``min_dist**2``.
+    the result is that of testing them one by one.  The accepted points
+    live in static trees over consecutive blocks whose sizes form a binary
+    counter (Bentley & Saxe's static-to-dynamic transformation): each
+    chunk's new points merge with the trailing trees no larger than the
+    merged block, so every point is re-indexed O(log n_target) times.
+    Returns up to ``n_target`` (positive) points with pairwise squared
+    distance at least ``min_dist**2``.
     """
     pts = None
+    forest = []
     count = 0
     attempts = 0
     max_attempts = 400 * n_target + 10000
@@ -235,9 +252,14 @@ def _poisson_disk(n_target, min_dist, propose, inside, rng):
         # pairs as points, however large min_dist is.
         for lo in range(0, len(batch), n_target):
             cand = batch[lo:lo + n_target]
-            new = cand[_accept(cand, pts[:count], min_dist)][:n_target - count]
-            pts[count:count + len(new)] = new
-            count += len(new)
+            new = cand[_accept(cand, forest, min_dist)][:n_target - count]
+            if len(new):
+                pts[count:count + len(new)] = new
+                start = count
+                count += len(new)
+                while forest and forest[-1].n <= count - start:
+                    start -= forest.pop().n
+                forest.append(cKDTree(pts[start:count]))
             if count == n_target:
                 break
     return pts[:count]

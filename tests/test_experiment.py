@@ -267,6 +267,21 @@ def test_cli_gamma_that_disconnects_the_glue_fails_typed(tmp_path, capsys):
     assert cli.main(run + ["--gamma", "1000"]) == 0
 
 
+@pytest.mark.parametrize("gamma", ["5000", "7000"])
+def test_cli_gamma_near_weight_underflow_fails_typed(gamma, capsys):
+    # On this cover the smallest weight on a maximum spanning tree of the
+    # glue edges is 4.5e-6 at gamma=1000, which still builds (above), and
+    # 1.8e-27 at gamma=5000.  At 5000 and 7000 the factorization used to
+    # succeed on weights at the rounding level, and the run exited 0 with
+    # a glue residual of 6e-2 and 0.25 (2.7e-3 at gamma=4).
+    run = ["--problem", "star2d", "--n", "2500", "--trials", "1",
+           "--eval-n", "500", "--gamma", gamma]
+    assert cli.main(run) == 1
+    err = capsys.readouterr().err
+    assert f"positive weight at gamma={gamma}" in err
+    assert "weight >= sqrt(eps) do not connect it" in err
+
+
 SEEDED = os.path.join(os.path.dirname(__file__), "data", "seeded_outputs.csv")
 
 

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 import pair_oracle
 from vecpum import geometry, glue, testbed
@@ -94,8 +96,8 @@ def test_fit_and_glue_builds_the_patch_graph_once(monkeypatch):
             if fn is None:
                 continue
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                calls[_name] += 1
+            def counted(*args, _fn=fn, _key=(mod_name, name), **kwargs):
+                calls[_key] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(mod, name, counted)
@@ -103,7 +105,11 @@ def test_fit_and_glue_builds_the_patch_graph_once(monkeypatch):
     nodes = problem.nodes(1000, np.random.SeedSequence(3))
     fit_and_glue(problem, nodes, problem.field(nodes),
                  default_config("star2d"))
-    assert calls == {"patch_graph_edges": 1, "connected_components": 1}
+    # The cover builds and checks its patch graph once; the shift solve
+    # checks once that the edges of weight >= sqrt(eps) still connect it.
+    assert calls == {("vecpum.cover", "patch_graph_edges"): 1,
+                     ("vecpum.cover", "connected_components"): 1,
+                     ("vecpum.glue", "connected_components"): 1}
 
 
 def test_shift_system_identical_potentials():
@@ -214,6 +220,34 @@ def test_underflowing_glue_weights_raise_connectivity_error(
     with pytest.raises(CoverConnectivityError, match="positive weight"):
         build_approximant(cov, RadialKernel(config.kernel, config.eps),
                           problem.mode, problem.field(nodes))
+
+
+def test_shift_solve_needs_a_spanning_tree_of_sqrt_eps_weights():
+    # solve_shifts refuses exactly the gammas at which the smallest weight
+    # on a maximum spanning tree of the glue edges falls below sqrt(eps).
+    problem = testbed.star_problem()
+    nodes = problem.nodes(2500, 1)
+    config = default_config("star2d")
+    h = spacing_from_q(config.q, problem.area, len(nodes), 2)
+    cov = assign_radii_and_inflate(problem.make_centers(h), nodes,
+                                   config.delta, problem.surface, h)
+    graph = glue.build_glue_graph(cov)
+    p, c = glue.build_shift_system(graph, ConstantPotentials(
+        *np.arange(len(cov), dtype=float)))
+    refused = {}
+    for gamma in (4.0, 1000.0, 3000.0, 5000.0, 7000.0):
+        w = glue.glue_weights(graph, gamma)
+        # A minimum spanning tree over 2 - w is a maximum one over w.
+        tree = minimum_spanning_tree(sparse.coo_matrix(
+            (2.0 - w, graph.edges.T), shape=(len(cov), len(cov))))
+        bottleneck = 2.0 - tree.data.max()
+        try:
+            glue.solve_shifts(p, c, graph, gamma=gamma)
+            refused[gamma] = False
+        except CoverConnectivityError:
+            refused[gamma] = True
+        assert refused[gamma] == (bottleneck < np.sqrt(np.finfo(float).eps))
+    assert not refused[4.0] and refused[7000.0]
 
 
 def test_solve_shifts_zero_rhs():

@@ -243,10 +243,13 @@ LOOP_GRID = {
 ORACLE_SEEDS = {"1": 1, "7": 7, "seq2024": np.random.SeedSequence(2024),
                 "seq-experiment": np.random.SeedSequence(
                     entropy=(3, 0xDA7A, 0, 1))}
+# At 20000 points, the size of the benchmark's evaluation sets, the
+# generator's forest of trees makes its deepest merges.
 ORACLE_CASES = [pytest.param(n, seed, id=f"{n}-{label}")
                 for n in (10, 37, 500, 3000, 8000)
                 for label, seed in ORACLE_SEEDS.items()
-                if n < 3000 or label in ("7", "seq2024")]
+                if n < 3000 or label in ("7", "seq2024")] + [
+    pytest.param(20000, 7, id="20000-7")]
 
 
 @pytest.mark.parametrize("gen", GENERATORS)
@@ -261,6 +264,43 @@ def test_generators_match_per_candidate_loop(gen, n, seed, monkeypatch):
 
     monkeypatch.setattr(testbed, "_poisson_disk", loop)
     assert np.array_equal(batched, gen(n, seed))
+
+
+class CountingTree(cKDTree):
+    """A k-d tree that counts its all-pairs range searches."""
+
+    searches = 0
+
+    def sparse_distance_matrix(self, *args, **kwargs):
+        self.searches += 1
+        return super().sparse_distance_matrix(*args, **kwargs)
+
+
+def brute_force_keep(cand, accepted, min_dist):
+    """Dart throwing one candidate at a time over all pairs."""
+    keep = []
+    for c in cand:
+        kept = [a for a, k in zip(cand, keep) if k]
+        others = np.concatenate([accepted, np.reshape(kept, (-1, 2))])
+        keep.append(bool((((others - c) ** 2).sum(-1) >= min_dist ** 2)
+                         .all()))
+    return np.array(keep)
+
+
+def test_accept_checks_every_point_when_the_nearest_passes():
+    # Integer points exactly 1.0 = min_dist from a candidate sit inside the
+    # trees' reach but pass the exact test, so the nearest point does not
+    # decide and every point within reach is checked.  The lattice is
+    # exact in floating point.
+    lattice = np.array([[x, y] for x in range(-3, 4) for y in range(-3, 4)
+                        if (x + y) % 2], dtype=float)
+    cand = np.array([[0.0, 0.0], [2.0, 2.0], [0.5, 0.5], [2.5, 0.0],
+                     [2.5, 0.5], [7.0, 0.0], [7.0, 1.0], [7.0, 0.5]])
+    forest = [CountingTree(lattice[:16]), CountingTree(lattice[16:])]
+    keep = testbed._accept(cand, forest, 1.0)
+    assert all(tree.searches for tree in forest)
+    assert np.array_equal(keep, brute_force_keep(cand, lattice, 1.0))
+    assert keep[0] and keep[1] and not keep[2]
 
 
 def test_problem_bundles_consistent():
