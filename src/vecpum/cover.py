@@ -291,12 +291,13 @@ def assign_radii_and_inflate(centers, nodes, overlap, surface, spacing):
     radii = np.full(len(centers), _initial_radius(surface, spacing, overlap))
 
     center_tree = cKDTree(centers)
-    miss = np.ones(len(nodes), dtype=bool)
-    miss[strict_pairs(nodes, centers, radii, center_tree).point] = False
-    dist, nearest = center_tree.query(nodes[miss], k=1)
-    np.maximum.at(radii, nearest, dist * (1.0 + INFLATION_MARGIN))
-
     inc = strict_pairs(nodes, centers, radii, center_tree)
+    miss = np.ones(len(nodes), dtype=bool)
+    miss[inc.point] = False
+    if miss.any():
+        dist, nearest = center_tree.query(nodes[miss], k=1)
+        np.maximum.at(radii, nearest, dist * (1.0 + INFLATION_MARGIN))
+        inc = strict_pairs(nodes, centers, radii, center_tree)
     keep, starts = np.unique(inc.patch, return_index=True)
     return Cover(centers=centers[keep], radii=radii[keep],
                  members=np.split(inc.point, starts[1:]), nodes=nodes,

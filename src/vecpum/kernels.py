@@ -10,7 +10,8 @@ of a scalar kernel phi:
 so that the Hessian of ``phi(||x - y||)`` is ``F*I + S*(x-y)(x-y)^T`` and the
 Laplacian is ``d*F + r**2 * S``.  For the two families shipped here, F and S
 have exact closed forms that stay finite at r = 0, so no series switch or
-special-casing near the origin is required.
+special-casing near the origin is required.  ``phi_d1_over_r`` and
+``hessian_coeffs`` work in place on the arrays they make, never on ``r``.
 """
 
 from dataclasses import dataclass
@@ -27,9 +28,13 @@ _M4_S = (1.0 / 35.0, 1.0 / 35.0, 1.0 / 105.0)
 
 
 def _polyval(coeffs, t):
-    out = np.zeros_like(t)
-    for c in reversed(coeffs):
-        out = out * t + c
+    # Horner's rule from the leading coefficient, in place on one new
+    # array; for finite t >= 0 the skipped first step 0*t + c is exactly c.
+    out = coeffs[-1] * t
+    out += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        out *= t
+        out += c
     return out
 
 
@@ -77,8 +82,18 @@ class RadialKernel:
         t = self.epsilon * r
         e2 = self.epsilon * self.epsilon
         if self.family == "imq":
-            return -e2 * (1.0 + t * t) ** -1.5
-        return -e2 * np.exp(-t) * _polyval(_M4_F, t)
+            t *= t
+            t += 1.0
+            t **= -1.5
+            t *= -e2
+            return t
+        f = _polyval(_M4_F, t)
+        t *= -1.0
+        # A scalar r makes t a numpy scalar, which takes no ``out``.
+        t = np.exp(t, out=t) if t.ndim else np.exp(t)
+        t *= -e2
+        f *= t
+        return f
 
     def hessian_coeffs(self, r):
         """Return (F, S) with Hessian(phi(||.||)) = F*I + S*(x-y)(x-y)^T."""
@@ -87,10 +102,21 @@ class RadialKernel:
         e2 = self.epsilon * self.epsilon
         e4 = e2 * e2
         if self.family == "imq":
-            u = 1.0 + t * t
-            return -e2 * u**-1.5, 3.0 * e4 * u**-2.5
-        decay = np.exp(-t)
-        return -e2 * decay * _polyval(_M4_F, t), e4 * decay * _polyval(_M4_S, t)
+            t *= t
+            t += 1.0
+            s = t**-2.5
+            s *= 3.0 * e4
+            t **= -1.5
+            t *= -e2
+            return t, s
+        f = _polyval(_M4_F, t)
+        s = _polyval(_M4_S, t)
+        t *= -1.0
+        decay = np.exp(t, out=t) if t.ndim else np.exp(t)
+        s *= e4 * decay
+        decay *= -e2
+        f *= decay
+        return f, s
 
     def laplacian(self, r, d):
         """Evaluate Laplacian(phi(||.||)) in d dimensions, d in {2, 3}."""

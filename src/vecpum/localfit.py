@@ -6,7 +6,10 @@ R_j = B_j O_j^T, for frame rows B_i (the tangent frame [d_i e_i] on a
 surface, the identity in flat R^d) and the mode's operator O: Q v = n x v
 (div-free, sign +1), P = I - nn^T (curl-free on a surface) or I (flat,
 both sign -1).  The systems are symmetric positive definite for the shipped
-kernels; Cholesky failures surface as PatchFitError, never regularized.
+kernels, and the assembled matrices are exactly symmetric: flat blocks are
+written so, surface ones symmetrized.  Each is factored in place on one
+Fortran-ordered copy; Cholesky failures surface as PatchFitError, never
+regularized.
 
 ``fit_table`` solves every patch of a cover (``fit_patch`` solves one)
 straight into one ``FitTable``: the eval vectors of all patches in one
@@ -25,7 +28,7 @@ to the same point inside a batch, whatever the chunking.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
+from scipy.linalg import lapack
 from scipy.spatial import cKDTree
 
 from . import geometry
@@ -114,7 +117,13 @@ def _frames(mode, surface, nodes):
 
 
 def assemble_system(kernel, surface, nodes, mode, frames=None):
-    """Dense interpolation matrix for the given mode (symmetrized)."""
+    """Dense interpolation matrix for the given mode, exactly symmetric.
+
+    Flat systems are written symmetric, each off-diagonal entry of a block
+    once to both of its places; surface systems are formed whole and
+    symmetrized as ``0.5 * (a + a.T)``.  Either way the bits are those of
+    the symmetrized whole matrix.
+    """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     rows, normals = _frames(mode, surface, nodes) if frames is None else frames
     sign = kernel_sign(mode)
@@ -139,26 +148,40 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
         for c in range(1, dim):
             r2 += dx[c] * dx[c]
         f, s = kernel.hessian_coeffs(np.sqrt(r2))
-        f, s = sign * f, sign * s
+        f *= sign
+        s *= sign
         if normals is None:
             # L = R = I: the contractions are the differences themselves.
-            ld = rd = dx
-        else:
-            lb = left[k * i0:k * i1]
-            ld = l_self[k * i0:k * i1, None] - lb @ nodes.T
-            rd = r_x[:, i0:i1].T - r_self
-            lr = lb @ right.T
-            ld = [ld[p::k] for p in range(k)]
-            rd = [rd[:, q::k] for q in range(k)]
+            # The (j, i) differences are exactly minus the (i, j) ones and
+            # F, S are equal for both, so entry (p, q) of the symmetrized
+            # block, 0.5 (S dx_p dx_q + S dx_q dx_p), is also its (q, p):
+            # written once to both, and exactly (S dx_p dx_p + F) for p = q.
+            sl = [s * dx[p] for p in range(k)]
+            for p in range(k):
+                out = a[k * i0 + p:k * i1 + p:k, p::k]
+                np.multiply(sl[p], dx[p], out=out)
+                out += f
+                for q in range(p + 1, k):
+                    blk = sl[p] * dx[q]
+                    blk += sl[q] * dx[p]
+                    blk *= 0.5
+                    a[k * i0 + p:k * i1 + p:k, q::k] = blk
+                    a[k * i0 + q:k * i1 + q:k, p::k] = blk
+            continue
+        lb = left[k * i0:k * i1]
+        ld = l_self[k * i0:k * i1, None] - lb @ nodes.T
+        rd = r_x[:, i0:i1].T - r_self
+        lr = lb @ right.T
         for p in range(k):
-            sl = s * ld[p]
+            sl = s * ld[p::k]
             for q in range(k):
                 out = a[k * i0 + p:k * i1 + p:k, q::k]
-                np.multiply(sl, rd[q], out=out)
-                if normals is not None:
-                    out += f * lr[p::k, q::k]
-                elif p == q:
-                    out += f
+                np.multiply(sl, rd[:, q::k], out=out)
+                out += f * lr[p::k, q::k]
+    if normals is None:
+        return a
+    # Surface entries (j, i) come through other products and row sums than
+    # (i, j), so they are not their bitwise mirror images.
     return 0.5 * (a + a.T)
 
 
@@ -312,11 +335,17 @@ class LocalFit:
 
 
 def _solve_spd(a, rhs, patch_id):
-    try:
-        factor = sla.cho_factor(a, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise PatchFitError(patch_id, float(np.linalg.cond(a))) from exc
-    return sla.cho_solve(factor, rhs, check_finite=False)
+    """Solve a x = rhs for an exactly symmetric ``a``, which is left as it
+    is; PatchFitError when Cholesky finds it not positive definite.
+
+    As ``a`` equals its transpose, ``a.copy().T`` is ``a`` in Fortran order,
+    which ``potrf`` factors in place: the upper factor ``cho_factor`` forms
+    from its own Fortran copy, with no copy beyond the one made here.
+    """
+    factor, info = lapack.dpotrf(a.copy().T, lower=0, overwrite_a=1, clean=0)
+    if info > 0:
+        raise PatchFitError(patch_id, float(np.linalg.cond(a)))
+    return lapack.dpotrs(factor, rhs, lower=0)[0]
 
 
 def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):

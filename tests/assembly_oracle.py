@@ -3,13 +3,24 @@
 ``assemble_system`` and ``fit_patch`` keep the two bodies the library used
 when flat R^d had its own branch: an (m, n, d) difference tensor read with
 stride d and written negated, next to the matmul-shaped surface body with
-its own left and right bases.  The shared path must reproduce them bit for
-bit.
+its own left and right bases.  Every body closes with ``0.5 * (a + a.T)``,
+and ``_solve_spd`` factors through ``cho_factor``'s own Fortran copy.  The
+shared path must reproduce them bit for bit.
 """
 
 import numpy as np
+from scipy import linalg as sla
 
-from vecpum.localfit import _ASSEMBLY_BLOCK, _solve_spd
+from vecpum.errors import PatchFitError
+from vecpum.localfit import _ASSEMBLY_BLOCK
+
+
+def _solve_spd(a, rhs, patch_id):
+    try:
+        factor = sla.cho_factor(a, lower=False, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise PatchFitError(patch_id, float(np.linalg.cond(a))) from exc
+    return sla.cho_solve(factor, rhs, check_finite=False)
 
 
 def _surface_bases(mode, frames):

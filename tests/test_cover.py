@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from vecpum import cover, geometry, testbed
 from vecpum.errors import ConfigError, CoverageError, CoverConnectivityError
@@ -292,6 +293,49 @@ def default_cover_parts(name, n, seed):
     h = cover.spacing_from_q(default_config(name).q, problem.area, n,
                              problem.surface.intrinsic_dim)
     return problem, nodes, h, problem.make_centers(h)
+
+
+def two_query_cover(centers, nodes, overlap, surface, spacing):
+    """(centers, radii, member_index, offsets, missed) of the cover formed
+    with a second incidence query whether or not a radius was inflated."""
+    radii = np.full(len(centers),
+                    cover._initial_radius(surface, spacing, overlap))
+    tree = cKDTree(centers)
+    miss = np.ones(len(nodes), dtype=bool)
+    miss[cover.strict_pairs(nodes, centers, radii, tree).point] = False
+    dist, nearest = tree.query(nodes[miss], k=1)
+    np.maximum.at(radii, nearest, dist * (1.0 + cover.INFLATION_MARGIN))
+    inc = cover.strict_pairs(nodes, centers, radii, tree)
+    keep, starts = np.unique(inc.patch, return_index=True)
+    offsets = np.append(starts, len(inc.point))
+    return centers[keep], radii[keep], inc.point, offsets, int(miss.sum())
+
+
+@pytest.mark.parametrize("name, queries", [("sphere", 1), ("star2d", 2)])
+def test_one_incidence_query_unless_a_radius_inflates(name, queries,
+                                                      monkeypatch):
+    # Sphere sets miss no node under the initial radii, star sets do; the
+    # membership query is repeated only after an inflation, and the cover
+    # is the one a repeated query gives.
+    problem, nodes, h, centers = default_cover_parts(name, 2000, 9)
+    delta = default_config(name).delta
+    want = two_query_cover(centers, nodes, delta, problem.surface, h)
+    assert (want[-1] > 0) == (queries == 2)
+    calls = []
+    real = cover.strict_pairs
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cover, "strict_pairs", counted)
+    cov = cover.assign_radii_and_inflate(centers, nodes, delta,
+                                         problem.surface, h)
+    assert len(calls) == queries
+    got = (cov.centers, cov.radii, cov.member_index, cov.offsets)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("name", ["star2d", "sphere"])

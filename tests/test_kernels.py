@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import kernel_oracle
+import pair_oracle
 from vecpum.kernels import RadialKernel
 
 
@@ -157,3 +159,34 @@ def test_vectorized_matches_scalar():
     for i, ri in enumerate(r):
         fi, si = k.hessian_coeffs(float(ri))
         assert f[i] == fi and s[i] == si
+
+
+def oracle_radii():
+    """Radii at which the coefficients are compared: zero, Python and
+    numpy scalars, 0-d arrays, a spread over the kernels' whole range, and
+    a 2-d array."""
+    spread = np.concatenate(([0.0], np.geomspace(1e-12, 1e3, 997),
+                             np.random.default_rng(5).uniform(0, 2, 1000)))
+    return [0, 0.0, 0.37, np.float64(1.3), np.array(0.0), np.array(0.81),
+            spread, spread.reshape(2, -1)]
+
+
+@pytest.mark.parametrize("eps", [0.5, 4.0, 13.0])
+@pytest.mark.parametrize("family", ["imq", "matern4"])
+def test_coefficients_match_out_of_place_formulas(family, eps):
+    # F and S computed in place carry the bits, type and shape of the
+    # formulas that made one new array per operation, and leave their
+    # input as it was.
+    kernel = RadialKernel(family, eps)
+    for r in oracle_radii():
+        kept = np.array(r, copy=True)
+        got = (kernel.phi_d1_over_r(r),) + kernel.hessian_coeffs(r)
+        want = ((kernel_oracle.phi_d1_over_r(kernel, r),)
+                + kernel_oracle.hessian_coeffs(kernel, r))
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert pair_oracle.same_bits(g, w)
+        assert pair_oracle.same_bits(r, kept)
+        for op in (kernel.phi_d1_over_r, kernel.hessian_coeffs):
+            with pytest.raises(ValueError, match="nonnegative"):
+                op(-np.abs(r) - 1e-3)

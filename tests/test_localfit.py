@@ -683,14 +683,17 @@ def test_one_formulation_matches_per_mode_bodies(family, name, n):
     # the identity frame; it must carry the bits of the separate flat and
     # surface bodies it replaced: the matrices, and for n <= 300 the eval
     # vectors (the -0.0 z components of plane curl-free ones included) and
-    # the fit residual.
+    # the fit residual.  The solve factors a.copy().T as a in Fortran
+    # order, so every bit of a must equal its mirror: flat systems are
+    # written symmetric, not symmetrized.
     surface, mode, eps = ORACLE_GEOMETRIES[name]
     kernel = RadialKernel(family, eps)
     nodes, values = oracle_patch(name, n)
     nodes, values = check_samples(nodes, values, surface, mode)
+    a = assemble_system(kernel, surface, nodes, mode)
     assert pair_oracle.same_bits(
-        assemble_system(kernel, surface, nodes, mode),
-        assembly_oracle.assemble_system(kernel, surface, nodes, mode))
+        a, assembly_oracle.assemble_system(kernel, surface, nodes, mode))
+    assert pair_oracle.same_bits(a, a.T)
     if n > 300:
         return
     evec, residual = fit_patch(nodes, values, kernel, surface, mode)
@@ -698,3 +701,45 @@ def test_one_formulation_matches_per_mode_bodies(family, name, n):
         nodes, values, kernel, surface, mode)
     assert pair_oracle.same_bits(evec, want_evec)
     assert pair_oracle.same_bits(residual, want_residual)
+
+
+def oracle_system(family, name, n, eps=None):
+    """The assembled system of an oracle patch and its right-hand side."""
+    surface, mode, default_eps = ORACLE_GEOMETRIES[name]
+    nodes, values = oracle_patch(name, n)
+    nodes, values = check_samples(nodes, values, surface, mode)
+    kernel = RadialKernel(family, default_eps if eps is None else eps)
+    rows, _ = frames = localfit._frames(mode, surface, nodes)
+    a = assemble_system(kernel, surface, nodes, mode, frames=frames)
+    return a, (rows * values[:, None, :]).sum(-1).ravel()
+
+
+@pytest.mark.parametrize("n", [n for n in ORACLE_SIZES if n <= 300])
+@pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
+@pytest.mark.parametrize("family", ["imq", "matern4"])
+def test_in_place_solve_matches_cho_factor(family, name, n):
+    # potrf on a.copy().T must give cho_factor's solution bit for bit, and
+    # leave the matrix that the fit residual is formed from as it was.
+    a, rhs = oracle_system(family, name, n)
+    kept, rhs_kept = a.copy(), rhs.copy()
+    sol = localfit._solve_spd(a, rhs, 3)
+    assert pair_oracle.same_bits(a, kept)
+    assert pair_oracle.same_bits(rhs, rhs_kept)
+    assert pair_oracle.same_bits(sol,
+                                 assembly_oracle._solve_spd(a, rhs, 3))
+
+
+@pytest.mark.parametrize("name", ["plane_div", "r3"])
+def test_in_place_solve_fails_as_cho_factor(name):
+    # Systems far too flat to be numerically positive definite raise the
+    # same PatchFitError, with the same condition estimate, as before.
+    a, rhs = oracle_system("imq", name, 300, eps=0.5)
+    with pytest.raises(PatchFitError) as want:
+        assembly_oracle._solve_spd(a, rhs, 5)
+    kept = a.copy()
+    with pytest.raises(PatchFitError) as got:
+        localfit._solve_spd(a, rhs, 5)
+    assert pair_oracle.same_bits(a, kept)
+    assert got.value.patch_id == 5
+    assert pair_oracle.same_bits(got.value.cond, want.value.cond)
+    assert str(got.value) == str(want.value)
