@@ -25,7 +25,8 @@ from .pum import build_approximant
 
 CSV_HEADER = ("problem,kernel,eps,q,delta,gamma,N,trial,"
               "err_field_inf,err_field_2,err_pot_inf,err_pot_2,"
-              "glue_res_inf,t_fit_ms,t_eval_ms")
+              "glue_res_inf,t_fit_ms,t_eval_ms,max_fit_residual,"
+              "n_eval_dropped")
 
 # Desk-scale defaults per problem: kernel family, shape parameter, nodes per
 # patch control q, overlap delta, and a refinement ladder.
@@ -357,7 +358,8 @@ def emit_csv(result, path):
             str(rec.trial), _fmt(rec.err_field_inf), _fmt(rec.err_field_2),
             _fmt(rec.err_pot_inf), _fmt(rec.err_pot_2),
             _fmt(rec.glue_res_inf), _fmt(rec.t_fit_ms),
-            _fmt(rec.t_eval_ms)]))
+            _fmt(rec.t_eval_ms), _fmt(rec.max_fit_residual),
+            str(rec.n_eval_dropped)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

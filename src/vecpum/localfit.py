@@ -357,13 +357,16 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     n = len(nodes)
     rows, normals = frames = _frames(mode, surface, nodes)
     a = assemble_system(kernel, surface, nodes, mode, frames=frames)
-    rhs = (rows * values[:, None, :]).sum(-1).ravel()
+    # In flat R^d the frame is the identity, so its products are copies.
+    flat = normals is None
+    rhs = (values if flat else (rows * values[:, None, :]).sum(-1)).ravel()
     sol = _solve_spd(a, rhs, patch_id)
-    # sum_p sol_p b_p from the first product, so -0.0 (plane z) stays -0.0.
-    per_row = sol.reshape(n, -1)
-    coef = per_row[:, :1] * rows[:, 0]
-    for p in range(1, rows.shape[1]):
-        coef = coef + per_row[:, p:p + 1] * rows[:, p]
+    coef = per_row = sol.reshape(n, -1)
+    if not flat:
+        # sum_p sol_p b_p from the first product: plane z keeps its -0.0.
+        coef = per_row[:, :1] * rows[:, 0]
+        for p in range(1, rows.shape[1]):
+            coef = coef + per_row[:, p:p + 1] * rows[:, p]
     evec = np.cross(normals, coef) if mode == "div_surface" else coef
     # The solved system's residual, one row per node; in the orthonormal
     # frame basis its norm equals the tangent residual in R^3.

@@ -188,9 +188,12 @@ def _accept(cand, forest, min_dist):
     static k-d trees in ``forest`` and to every earlier kept candidate is
     at least ``min_dist**2``.  The trees search slightly beyond
     ``min_dist`` and every point they return is re-checked with that exact
-    test.  Each tree, largest first, is asked only for the nearest point to
-    each candidate still kept; where that point fails the exact test, all
-    of the tree's points within reach of that candidate are checked.
+    test.  Each tree, in ``forest`` order (largest first, each holding
+    more than twice the points of the next), is asked only for the nearest
+    point to each candidate still kept; where that point fails the exact
+    test, all of the tree's points within reach of that candidate are
+    checked.  Candidate pairs are then sought only among the candidates
+    the forest kept, since a pair with a rejected end changes no verdict.
     """
     r2 = min_dist * min_dist
     reach = min_dist * (1.0 + 1e-9)
@@ -209,10 +212,10 @@ def _accept(cand, forest, min_dist):
             i, j = near["i"], near["j"]
             keep[unsure[j[((forest_tree.data[i] - cand[unsure[j]]) ** 2)
                           .sum(-1) < r2]]] = False
-    tree = cKDTree(cand)
-    first, later = tree.query_pairs(reach, output_type="ndarray").T
-    close = keep[first] & keep[later] & (
-        ((cand[first] - cand[later]) ** 2).sum(-1) < r2)
+    alive = np.flatnonzero(keep)
+    first, later = alive[cKDTree(cand[alive]).query_pairs(
+        reach, output_type="ndarray")].T
+    close = ((cand[first] - cand[later]) ** 2).sum(-1) < r2
     first, later = first[close], later[close]
     # Sorted by the later candidate, each pair sees the final verdict on
     # its earlier one.
@@ -232,8 +235,11 @@ def _poisson_disk(n_target, min_dist, propose, inside, rng):
     the result is that of testing them one by one.  The accepted points
     live in static trees over consecutive blocks whose sizes form a binary
     counter (Bentley & Saxe's static-to-dynamic transformation): each
-    chunk's new points merge with the trailing trees no larger than the
-    merged block, so every point is re-indexed O(log n_target) times.
+    chunk's new points merge with the trailing trees while the last tree
+    holds at most twice the merged block, and one tree is built over that
+    slice.  After every merge each tree holds more than twice the points
+    of the next, so the forest has at most floor(log2 n_target) + 1 trees
+    and every point is re-indexed O(log n_target) times.
     Returns up to ``n_target`` (positive) points with pairwise squared
     distance at least ``min_dist**2``.
     """
@@ -257,7 +263,7 @@ def _poisson_disk(n_target, min_dist, propose, inside, rng):
                 pts[count:count + len(new)] = new
                 start = count
                 count += len(new)
-                while forest and forest[-1].n <= count - start:
+                while forest and forest[-1].n <= 2 * (count - start):
                     start -= forest.pop().n
                 forest.append(cKDTree(pts[start:count]))
             if count == n_target:

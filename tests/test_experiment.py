@@ -107,10 +107,20 @@ def test_csv_round_trip(tmp_path):
     rec = res.records[0]
     assert row["problem"] == "star2d"
     assert int(row["N"]) == rec.n_actual
-    for col, attr in [("err_field_inf", "err_field_inf"),
-                      ("err_pot_2", "err_pot_2"),
-                      ("glue_res_inf", "glue_res_inf")]:
-        assert float(row[col]) == getattr(rec, attr)
+    for col in ("err_field_inf", "err_pot_2", "glue_res_inf",
+                "max_fit_residual"):
+        assert float(row[col]) == getattr(rec, col)
+    assert int(row["n_eval_dropped"]) == rec.n_eval_dropped
+    assert rec.n_eval_used + rec.n_eval_dropped == 500
+
+
+def test_csv_columns_are_only_appended():
+    # Readers index the CSV by position, so columns are never reordered.
+    assert experiment.CSV_HEADER.split(",") == [
+        "problem", "kernel", "eps", "q", "delta", "gamma", "N", "trial",
+        "err_field_inf", "err_field_2", "err_pot_inf", "err_pot_2",
+        "glue_res_inf", "t_fit_ms", "t_eval_ms", "max_fit_residual",
+        "n_eval_dropped"]
 
 
 def test_csv_header_only_for_empty_result(tmp_path):

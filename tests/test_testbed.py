@@ -267,13 +267,19 @@ def test_generators_match_per_candidate_loop(gen, n, seed, monkeypatch):
 
 
 class CountingTree(cKDTree):
-    """A k-d tree that counts its all-pairs range searches."""
+    """A k-d tree that counts its all-pairs range searches and the points
+    its nearest-point queries ask about."""
 
     searches = 0
+    queried = 0
 
     def sparse_distance_matrix(self, *args, **kwargs):
         self.searches += 1
         return super().sparse_distance_matrix(*args, **kwargs)
+
+    def query(self, x, *args, **kwargs):
+        self.queried += len(x)
+        return super().query(x, *args, **kwargs)
 
 
 def brute_force_keep(cand, accepted, min_dist):
@@ -301,6 +307,61 @@ def test_accept_checks_every_point_when_the_nearest_passes():
     assert all(tree.searches for tree in forest)
     assert np.array_equal(keep, brute_force_keep(cand, lattice, 1.0))
     assert keep[0] and keep[1] and not keep[2]
+
+
+def test_accept_pairs_only_what_the_forest_kept(monkeypatch):
+    # Candidate 1 lies within min_dist of the forest's point and is
+    # rejected.  Candidates 2 and 4 lie within min_dist of 1 but not of the
+    # forest, so 1 must not reject them.  3 is rejected by 2, and 4, within
+    # min_dist of 3 as well, is still kept.  5 is rejected by 0.  The
+    # coordinates are exact in floating point.
+    forest = [CountingTree(np.array([[0.0, 0.0]]))]
+    cand = np.array([[5.0, 5.0], [0.5, 0.0], [1.25, 0.0], [1.25, 0.5],
+                     [0.75, 0.875], [5.0, 5.5], [9.0, 9.0]])
+    built = []
+
+    class RecordingTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            super().__init__(data, *args, **kwargs)
+            built.append(self.n)
+
+    monkeypatch.setattr(testbed, "cKDTree", RecordingTree)
+    keep = testbed._accept(cand, forest, 1.0)
+    assert keep.tolist() == [True, False, True, False, True, False, True]
+    assert np.array_equal(keep, brute_force_keep(cand, forest[0].data, 1.0))
+    # The nearest point decides every candidate, and the candidate pairs
+    # are sought among the six the forest kept.
+    assert forest[0].searches == 0
+    assert built == [6]
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_forest_stays_logarithmic(gen, monkeypatch):
+    # The benchmark's evaluation sets: 20000 points at its evaluation seed.
+    n = 20000
+    sizes, trees, darts = [], {}, []
+    real = testbed._accept
+
+    def spy(cand, forest, min_dist):
+        sizes.append([tree.n for tree in forest])
+        trees.update((id(tree), tree) for tree in forest)
+        darts.append(len(cand))
+        spy.forest = forest
+        return real(cand, forest, min_dist)
+
+    monkeypatch.setattr(testbed, "cKDTree", CountingTree)
+    monkeypatch.setattr(testbed, "_accept", spy)
+    pts = gen(n, np.random.SeedSequence((1009, 0xE7A1)))
+    # The forest after the last merge, which no chunk was tested against.
+    sizes.append([tree.n for tree in spy.forest])
+    assert sum(sizes[-1]) == len(pts)
+    most = int(np.log2(n)) + 1
+    for forest in sizes:
+        assert len(forest) <= most
+        assert all(a > 2 * b for a, b in zip(forest, forest[1:])), forest
+    assert all(isinstance(tree, CountingTree) for tree in trees.values())
+    # Each candidate asks each tree for at most one nearest point.
+    assert sum(tree.queried for tree in trees.values()) <= most * sum(darts)
 
 
 def test_problem_bundles_consistent():
