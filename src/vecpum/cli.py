@@ -39,7 +39,8 @@ def build_parser():
     parser.add_argument("--area", type=float,
                         help="custom: domain area/volume for patch sizing")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads for batch evaluation only")
+                        help="threads for the patch fits and batch "
+                             "evaluation; results do not depend on it")
     return parser
 
 

@@ -180,7 +180,8 @@ def fit_and_glue(problem, nodes, values, config):
     cov = assign_radii_and_inflate(problem.make_centers(h), nodes,
                                    config.delta, problem.surface, h)
     approx = build_approximant(cov, RadialKernel(config.kernel, config.eps),
-                               problem.mode, values, gamma=config.gamma)
+                               problem.mode, values, gamma=config.gamma,
+                               workers=config.workers)
     return approx, approx.shifts
 
 

@@ -9,10 +9,14 @@ both sign -1).  The systems are symmetric positive definite for the shipped
 kernels, and the assembled matrices are exactly symmetric: flat blocks are
 written so, surface ones symmetrized.  Each is factored in place on one
 Fortran-ordered copy; Cholesky failures surface as PatchFitError, never
-regularized.
+regularized.  The factorization calls scipy's own LAPACK ``dpotrf``
+through ctypes, which releases the GIL.
 
-``fit_table`` solves every patch of a cover (``fit_patch`` solves one)
-straight into one ``FitTable``: the eval vectors of all patches in one
+``fit_table`` solves every patch of a cover (``fit_patch`` solves one) on
+``workers`` threads, with scipy's OpenBLAS pinned at one thread
+(``one_blas_thread``), so the fits' bits depend neither on the thread
+count nor on the host's core count.  It writes them straight into one
+``FitTable``: the eval vectors of all patches in one
 (d, T) table, patch after patch with no padding, laid out as the cover's
 CSR membership, through which the table reads its node coordinates.  The
 table's pair kernel ``pair_sums`` is the one evaluator: it forms each
@@ -25,6 +29,10 @@ bits depend only on its own terms: a point evaluated alone is bit-identical
 to the same point inside a batch, whatever the chunking.
 """
 
+import ctypes
+import threading
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -334,15 +342,95 @@ class LocalFit:
         return self._at(points, True)
 
 
+_ScipyLapack = namedtuple("_ScipyLapack", "potrf get_threads set_threads")
+
+
+def _scipy_lapack():
+    """scipy's own LAPACK ``dpotrf`` as a ctypes function, which releases
+    the GIL, with the thread-count getter and setter of the OpenBLAS that
+    scipy bundles; None where scipy does not expose them so.
+
+    The pointer is the one ``scipy.linalg.cython_lapack`` exports, so it is
+    the routine f2py's ``lapack.dpotrf`` calls.  The setter and getter are
+    looked up through that module's library, whose dependencies include
+    the OpenBLAS it was linked against.
+    """
+    try:
+        from scipy.linalg import cython_lapack
+        capsule = cython_lapack.__pyx_capi__["dpotrf"]
+        api = ctypes.pythonapi
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", api))(capsule)
+        pointer = ctypes.PYFUNCTYPE(
+            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", api))(capsule, name)
+        lib = ctypes.CDLL(cython_lapack.__file__)
+        get = lib.scipy_openblas_get_num_threads
+        put = lib.scipy_openblas_set_num_threads
+    except (ImportError, AttributeError, KeyError, OSError, ValueError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    c_int_p = ctypes.POINTER(ctypes.c_int)
+    # void dpotrf(char *uplo, int *n, double *a, int *lda, int *info)
+    potrf = ctypes.CFUNCTYPE(None, ctypes.c_char_p, c_int_p, ctypes.c_void_p,
+                             c_int_p, c_int_p)(pointer)
+    return _ScipyLapack(potrf, get, put)
+
+
+_LAPACK = _scipy_lapack()
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0
+_pin_saved = None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with scipy's OpenBLAS at one thread.
+
+    The count is process-wide: while a pin is held, all of scipy's BLAS
+    and LAPACK calls, on every thread, run at one thread.  The first pin
+    to enter saves the count and the last to leave restores it, also when
+    the body raises.  Does nothing where ``_scipy_lapack`` found no
+    OpenBLAS symbols.
+    """
+    global _pin_depth, _pin_saved
+    if _LAPACK is None:
+        yield
+        return
+    _, get, put = _LAPACK
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                put(_pin_saved)
+
+
 def _solve_spd(a, rhs, patch_id):
     """Solve a x = rhs for an exactly symmetric ``a``, which is left as it
     is; PatchFitError when Cholesky finds it not positive definite.
 
     As ``a`` equals its transpose, ``a.copy().T`` is ``a`` in Fortran order,
     which ``potrf`` factors in place: the upper factor ``cho_factor`` forms
-    from its own Fortran copy, with no copy beyond the one made here.
+    from its own Fortran copy, with no copy beyond the one made here.  The
+    factorization goes through scipy's LAPACK pointer without the GIL, or
+    through f2py where ``_scipy_lapack`` found none.
     """
-    factor, info = lapack.dpotrf(a.copy().T, lower=0, overwrite_a=1, clean=0)
+    factor = a.copy().T
+    if _LAPACK is None:
+        factor, info = lapack.dpotrf(factor, lower=0, overwrite_a=1, clean=0)
+    else:
+        n, status = ctypes.c_int(len(factor)), ctypes.c_int(0)
+        _LAPACK.potrf(b"U", ctypes.byref(n), factor.ctypes.data,
+                      ctypes.byref(n), ctypes.byref(status))
+        info = status.value
     if info > 0:
         raise PatchFitError(patch_id, float(np.linalg.cond(a)))
     return lapack.dpotrs(factor, rhs, lower=0)[0]
@@ -377,16 +465,71 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     return np.ascontiguousarray(evec.T), residual
 
 
-def fit_table(cover, values, kernel, mode):
+def _map_in_order(fn, n, workers):
+    """``[fn(0), ..., fn(n - 1)]``, computed on the calling thread and
+    ``workers - 1`` more, which take the indices in order.
+
+    Should calls raise, no index above the lowest failing one is started
+    and that index's exception is raised once every thread has stopped:
+    the exception a serial loop would raise.
+    """
+    out = [None] * n
+    failed = {}
+    lock = threading.Lock()
+    stop = threading.Event()
+    order = iter(range(n))
+
+    def drain():
+        while not stop.is_set():
+            with lock:
+                l = next(order, n)
+                if l == n or (failed and l > min(failed)):
+                    return
+            try:
+                out[l] = fn(l)
+            except Exception as exc:
+                with lock:
+                    failed[l] = exc
+
+    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
+def fit_table(cover, values, kernel, mode, workers=1):
     """Fit every patch of ``cover`` and return the ``FitTable`` of the fits.
 
     Patch l is fit on the rows ``cover.members[l]`` of ``cover.nodes`` and
     ``values`` (samples that passed ``check_samples`` on the cover's
-    surface).  Patches are fit serially, in order.
+    surface).  The fits run under ``one_blas_thread`` on the calling thread
+    and ``workers - 1`` more, which take the patches in order; the
+    factorization releases the GIL, so the threads overlap.  A fit's bits
+    depend on its own patch only, so every ``workers`` gives the serial
+    table, and a failing fit raises the serial loop's PatchFitError, the
+    one of the lowest failing patch.  Where ``_scipy_lapack`` found no
+    GIL-free factorization the fits run serially.  ValueError for
+    ``workers`` < 1.
     """
-    solved = [fit_patch(cover.nodes[idx], values[idx], kernel, cover.surface,
-                        mode, patch_id=l)
-              for l, idx in enumerate(cover.members)]
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+    def fit(l):
+        idx = cover.members[l]
+        return fit_patch(cover.nodes[idx], values[idx], kernel, cover.surface,
+                         mode, patch_id=l)
+
+    with one_blas_thread():
+        solved = _map_in_order(fit, len(cover.members),
+                               workers if _LAPACK is not None else 1)
     evecs, residual = zip(*solved)
     return FitTable(mode=mode, kernel=kernel, cover=cover,
                     eval_vectors=np.concatenate(evecs, axis=1),

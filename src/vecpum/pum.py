@@ -36,7 +36,7 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import FitTable, check_samples, fit_table
+from .localfit import FitTable, check_samples, fit_table, one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -140,14 +140,18 @@ class PumApproximant:
         return self.cover.covers(points)
 
 
-def build_approximant(cover, kernel, mode, values, gamma=4.0):
+def build_approximant(cover, kernel, mode, values, gamma=4.0, workers=1):
     """Fit every patch, glue the potentials, and return the approximant.
 
     ``values`` are the field samples at ``cover.nodes``, checked once.
-    Patches are fit serially, straight into one ``FitTable`` that reads
-    their nodes through the cover; threads are used for batch evaluation
-    only.  The shifts are the approximant's ``shifts``; its glue graph is
-    ``glue.build_glue_graph(approx.cover)``.
+    Patches are fit on ``workers`` threads straight into one ``FitTable``
+    that reads their nodes through the cover (``localfit.fit_table``).
+    The fits and the shift solve run under ``localfit.one_blas_thread``:
+    for the length of the build, scipy's OpenBLAS runs at one thread in
+    the whole process, and its previous count is restored afterwards.  So
+    the approximant's bits depend neither on ``workers`` nor on the host's
+    core count.  The shifts are the approximant's ``shifts``; its glue
+    graph is ``glue.build_glue_graph(approx.cover)``.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -157,8 +161,9 @@ def build_approximant(cover, kernel, mode, values, gamma=4.0):
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
     _, values = check_samples(cover.nodes, values, cover.surface, mode)
-    fits = fit_table(cover, values, kernel, mode)
-    graph = glue_mod.build_glue_graph(cover)
-    p, c = glue_mod.build_shift_system(graph, fits)
-    solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
+    with one_blas_thread():
+        fits = fit_table(cover, values, kernel, mode, workers=workers)
+        graph = glue_mod.build_glue_graph(cover)
+        p, c = glue_mod.build_shift_system(graph, fits)
+        solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
     return PumApproximant(fits=fits, shifts=solution)

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -572,7 +574,8 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     samples = [pair_case_samples(surface, rng, n) for n in sizes]
     probes = pair_case_samples(surface, rng, 13)[0]
     # The table reads each patch's samples through a shuffled member index;
-    # it holds what fit_patch solves for each patch alone.
+    # it holds what fit_patch solves for each patch alone, at the one BLAS
+    # thread the table is fit at.
     member_index = rng.permutation(sum(sizes))
     nodes = np.empty((sum(sizes), surface.dim))
     values = np.empty_like(nodes)
@@ -586,7 +589,8 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     fits = list(table)
     assert len(fits) == len(sizes)
     for fit, (pts, vals) in zip(fits, samples):
-        evec, residual = fit_patch(pts, vals, kernel, surface, mode)
+        with localfit.one_blas_thread():
+            evec, residual = fit_patch(pts, vals, kernel, surface, mode)
         assert pair_oracle.same_bits(fit.nodes, pts)
         assert pair_oracle.same_bits(pair_oracle.eval_vectors(fit), evec.T)
         assert fit.fit_residual == residual
@@ -743,3 +747,143 @@ def test_in_place_solve_fails_as_cho_factor(name):
     assert got.value.patch_id == 5
     assert pair_oracle.same_bits(got.value.cond, want.value.cond)
     assert str(got.value) == str(want.value)
+
+
+def singular_patch_cover(sizes, singular, rng):
+    """An r3 stacked cover whose patches in ``singular`` end with two nodes
+    1e-150 apart, which make their systems exactly singular."""
+    members, pts, start = [], [], 0
+    for l, n in enumerate(sizes):
+        patch = rng.uniform(-1, 1, size=(n, 3)) + [4.0 * l, 0.0, 0.0]
+        if l in singular:
+            patch[-2:, :2] = 0.0
+            patch[-2:, 2] = [2e-150 * l, 2e-150 * l + 1e-150]
+        pts.append(patch)
+        members.append(np.arange(start, start + n))
+        start += n
+    nodes = np.concatenate(pts)
+    return stacked_cover(nodes, members, R3), rng.normal(size=nodes.shape)
+
+
+def test_pooled_fits_raise_the_serial_error(monkeypatch):
+    # Patches 1 and 3 are singular.  On threads, patch 1's fit waits until
+    # patch 3 has failed; the error raised must still be patch 1's, as in
+    # the serial loop, with its bits, and no patch above 3 may start.
+    rng = np.random.default_rng(11)
+    cov, values = singular_patch_cover((30, 150, 30, 8, 30, 30), {1, 3}, rng)
+    kernel = RadialKernel("matern4", 2.0)
+    with pytest.raises(PatchFitError) as want:
+        fit_table(cov, values, kernel, "curl_euclidean")
+    started = []
+    real_fit = localfit.fit_patch
+
+    def fit_patch(*args, patch_id, **kwargs):
+        started.append(patch_id)
+        if patch_id == 1:
+            assert third_failed.wait(timeout=60)
+        try:
+            return real_fit(*args, patch_id=patch_id, **kwargs)
+        finally:
+            if patch_id == 3:
+                third_failed.set()
+
+    monkeypatch.setattr(localfit, "fit_patch", fit_patch)
+    for workers in (2, 3):
+        third_failed = threading.Event()
+        started.clear()
+        with pytest.raises(PatchFitError) as got:
+            fit_table(cov, values, kernel, "curl_euclidean", workers=workers)
+        assert want.value.patch_id == got.value.patch_id == 1
+        assert pair_oracle.same_bits(got.value.cond, want.value.cond)
+        assert str(got.value) == str(want.value)
+        if workers == 2:
+            assert sorted(started) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_fit_table_rejects_workers_below_one(workers):
+    cov, values = singular_patch_cover((5, 5), set(),
+                                       np.random.default_rng(0))
+    with pytest.raises(ValueError, match="workers"):
+        fit_table(cov, values, RadialKernel("imq", 1.0), "curl_euclidean",
+                  workers=workers)
+
+
+def test_fits_run_serially_without_scipy_lapack(monkeypatch):
+    # Without scipy's LAPACK pointer and OpenBLAS symbols the factorization
+    # is f2py's, which holds the GIL, so no thread is started.  At the
+    # same BLAS thread count it gives the pooled table's bits.
+    rng = np.random.default_rng(12)
+    cov, values = singular_patch_cover((30, 60, 80, 50), set(), rng)
+    kernel = RadialKernel("matern4", 2.0)
+    pooled = fit_table(cov, values, kernel, "curl_euclidean", workers=2)
+    a, rhs = oracle_system("imq", "r3", 100)
+    threads = set()
+    real_fit = localfit.fit_patch
+
+    def fit_patch(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(localfit, "fit_patch", fit_patch)
+    with localfit.one_blas_thread():
+        monkeypatch.setattr(localfit, "_LAPACK", None)
+        serial = fit_table(cov, values, kernel, "curl_euclidean", workers=2)
+        pairs = ((serial.eval_vectors, pooled.eval_vectors),
+                 (serial.fit_residual, pooled.fit_residual),
+                 (localfit._solve_spd(a, rhs, 3),
+                  assembly_oracle._solve_spd(a, rhs, 3)))
+    assert threads == {threading.get_ident()}
+    for got, want in pairs:
+        assert pair_oracle.same_bits(got, want)
+
+
+@pytest.fixture
+def fast_switching():
+    """A short switch interval, so threads interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def test_thread_map_under_contention(fast_switching):
+    # More threads than cores: every index is computed exactly once, and
+    # its result lands in its own slot.
+    calls = []
+
+    def square(l):
+        calls.append(l)
+        return l * l
+
+    assert localfit._map_in_order(square, 2000, 8) == [
+        l * l for l in range(2000)]
+    assert sorted(calls) == list(range(2000))
+
+
+@pytest.mark.skipif(localfit._LAPACK is None,
+                    reason="needs scipy's OpenBLAS thread-count symbols")
+def test_overlapping_pins_under_contention(fast_switching):
+    # Pins held by many threads at once keep the count at one, and the
+    # last to leave restores the caller's count.
+    _, get, put = localfit._LAPACK
+    before = get()
+    inside = []
+
+    def pin_often():
+        for _ in range(200):
+            with localfit.one_blas_thread():
+                inside.append(get())
+
+    put(2)
+    try:
+        threads = [threading.Thread(target=pin_often) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert get() == 2
+    finally:
+        put(before)
+    assert inside == [1] * 1600

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import os
 import platform
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import pair_oracle
 import vecpum
 from vecpum import cover, geometry, glue, localfit, pum, testbed
-from vecpum.errors import CoverageError
+from vecpum.errors import CoverageError, PatchFitError
 from vecpum.experiment import default_config, fit_and_glue
 from vecpum.kernels import RadialKernel
 from vecpum.localfit import fit_global
@@ -684,10 +686,103 @@ def test_repeat_builds_reuse_heap_pages(tmp_path):
     # per N=2000 build).
     path = tmp_path / "nodes.npy"
     np.save(path, testbed.nodes_sphere(2000, 1))
+    assert int(run_script(BUILD_FAULTS, str(path))) <= 5000
+
+
+def run_script(script, *args, **env):
+    """Stdout of ``script`` run in a fresh interpreter that imports this
+    vecpum and these tests, with ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(vecpum.__file__))
-    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, "-c", BUILD_FAULTS, str(path)],
-                         env=env, capture_output=True, text=True,
-                         timeout=300, check=True)
-    assert int(out.stdout) <= 5000
+    paths = [src, os.path.dirname(__file__)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               **env)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True).stdout
+
+
+def ball_build(workers=1):
+    """The seeded CLI's ball cover (N=3000, seed 3), built at ``workers``;
+    its local systems have 365 rows on average."""
+    problem = testbed.ball_problem()
+    nodes = testbed.nodes_ball(3000, 3)
+    return fit_and_glue(problem, nodes, problem.field(nodes),
+                        default_config("ball", workers=workers))
+
+
+BUILD_HASHES = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from test_pum import ball_build
+    approx, solution = ball_build()
+    print(int(np.median(3 * np.diff(approx.cover.offsets))))
+    for bits in (approx.fits.eval_vectors, approx.fits.fit_residual,
+                 solution.shifts):
+        print(hashlib.sha256(bits.tobytes()).hexdigest())
+""")
+
+
+def test_build_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS dpotrf gives other bits at 1 and 2 threads on systems of
+    # ~200 rows and more, so the build runs scipy's OpenBLAS at one thread.
+    runs = [run_script(BUILD_HASHES, OPENBLAS_NUM_THREADS=threads).split()
+            for threads in ("1", "2")]
+    assert int(runs[0][0]) >= 200
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_threaded_fits_match_serial_bitwise(workers, monkeypatch):
+    serial, sol1 = ball_build()
+    threads = set()
+    real_fit = localfit.fit_patch
+
+    def fit_patch(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(localfit, "fit_patch", fit_patch)
+    threaded, sol2 = ball_build(workers)
+    assert 1 < len(threads) <= workers
+    for a, b in ((serial.fits.eval_vectors, threaded.fits.eval_vectors),
+                 (serial.fits.fit_residual, threaded.fits.fit_residual),
+                 (sol1.shifts, sol2.shifts), (sol1.residual, sol2.residual)):
+        assert pair_oracle.same_bits(a, b)
+
+
+@pytest.mark.skipif(localfit._LAPACK is None,
+                    reason="needs scipy's OpenBLAS thread-count symbols")
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_build_restores_the_blas_thread_count(workers, fail, monkeypatch):
+    # The fits and the shift solve run at one thread; the caller's count
+    # comes back after the build, also when a fit raises.
+    _, get, put = localfit._LAPACK
+    nodes, values, cov = star_setup(700, seed=25)
+    seen = []
+    real_fit, real_solve = localfit.fit_patch, glue.solve_shifts
+
+    def fit_patch(*args, patch_id, **kwargs):
+        seen.append(get())
+        if fail and patch_id == 5:
+            raise PatchFitError(patch_id, 1e20)
+        return real_fit(*args, patch_id=patch_id, **kwargs)
+
+    def solve_shifts(*args, **kwargs):
+        seen.append(get())
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(localfit, "fit_patch", fit_patch)
+    monkeypatch.setattr(glue, "solve_shifts", solve_shifts)
+    before = get()
+    put(2)
+    try:
+        with (pytest.raises(PatchFitError, match="patch 5 ") if fail
+              else contextlib.nullcontext()):
+            build_approximant(cov, RadialKernel("imq", 7.0), "div_surface",
+                              values, workers=workers)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen and set(seen) == {1}
+    assert fail or len(seen) == len(cov.members) + 1
