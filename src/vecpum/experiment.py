@@ -80,6 +80,8 @@ class RunConfig:
             raise ValueError("area must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "n_values", tuple(self.n_values))

@@ -12,8 +12,9 @@ Fortran-ordered copy; Cholesky failures surface as PatchFitError, never
 regularized.  The factorization calls scipy's own LAPACK ``dpotrf``
 through ctypes, which releases the GIL.
 
-``fit_table`` solves every patch of a cover (``fit_patch`` solves one) on
-``workers`` threads, with scipy's OpenBLAS pinned at one thread
+``fit_table`` solves every patch of a cover (``fit_patch`` solves one),
+above one worker on ``min(workers, patches)`` threads while the caller
+waits (``map_in_order``), with scipy's OpenBLAS pinned at one thread
 (``one_blas_thread``), so the fits' bits depend neither on the thread
 count nor on the host's core count.  It writes them straight into one
 ``FitTable``: the eval vectors of all patches in one
@@ -350,31 +351,26 @@ def _scipy_lapack():
     the GIL, with the thread-count getter and setter of the OpenBLAS that
     scipy bundles; None where scipy does not expose them so.
 
-    The pointer is the one ``scipy.linalg.cython_lapack`` exports, so it is
-    the routine f2py's ``lapack.dpotrf`` calls.  The setter and getter are
-    looked up through that module's library, whose dependencies include
-    the OpenBLAS it was linked against.
+    All three are looked up through ``scipy.linalg.cython_lapack``'s
+    library, whose dependencies include the OpenBLAS it was linked
+    against: ``scipy_dpotrf_`` is the routine f2py's ``lapack.dpotrf``
+    calls.
     """
     try:
         from scipy.linalg import cython_lapack
-        capsule = cython_lapack.__pyx_capi__["dpotrf"]
-        api = ctypes.pythonapi
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", api))(capsule)
-        pointer = ctypes.PYFUNCTYPE(
-            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", api))(capsule, name)
         lib = ctypes.CDLL(cython_lapack.__file__)
+        potrf = lib.scipy_dpotrf_
         get = lib.scipy_openblas_get_num_threads
         put = lib.scipy_openblas_set_num_threads
-    except (ImportError, AttributeError, KeyError, OSError, ValueError):
+    except (ImportError, AttributeError, OSError):
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     c_int_p = ctypes.POINTER(ctypes.c_int)
     # void dpotrf(char *uplo, int *n, double *a, int *lda, int *info)
-    potrf = ctypes.CFUNCTYPE(None, ctypes.c_char_p, c_int_p, ctypes.c_void_p,
-                             c_int_p, c_int_p)(pointer)
+    potrf.argtypes = [ctypes.c_char_p, c_int_p, ctypes.c_void_p, c_int_p,
+                      c_int_p]
+    potrf.restype = None
     return _ScipyLapack(potrf, get, put)
 
 
@@ -465,41 +461,44 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     return np.ascontiguousarray(evec.T), residual
 
 
-def _map_in_order(fn, n, workers):
-    """``[fn(0), ..., fn(n - 1)]``, computed on the calling thread and
-    ``workers - 1`` more, which take the indices in order.
-
-    Should calls raise, no index above the lowest failing one is started
-    and that index's exception is raised once every thread has stopped:
-    the exception a serial loop would raise.
+def map_in_order(fn, items, workers):
+    """``[fn(x) for x in items]``: that loop at ``workers`` 1, else
+    ``min(workers, len(items))`` threads that take the items in order while
+    the caller waits.  Should calls raise, no item after the lowest failing
+    one is started, and that item's exception is raised once every thread
+    has stopped, as in the loop.  ValueError for ``workers`` < 1.
     """
-    out = [None] * n
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if workers == 1:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
     failed = {}
     lock = threading.Lock()
     stop = threading.Event()
-    order = iter(range(n))
+    order = iter(range(len(items)))
 
     def drain():
         while not stop.is_set():
             with lock:
-                l = next(order, n)
-                if l == n or (failed and l > min(failed)):
+                l = next(order, len(items))
+                if l == len(items) or (failed and l > min(failed)):
                     return
             try:
-                out[l] = fn(l)
-            except Exception as exc:
+                out[l] = fn(items[l])
+            except BaseException as exc:
                 with lock:
                     failed[l] = exc
 
-    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+    threads = [threading.Thread(target=drain)
+               for _ in range(min(workers, len(items)))]
     try:
-        drain()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     finally:
         stop.set()
-        for helper in helpers:
-            helper.join()
     if failed:
         raise failed[min(failed)]
     return out
@@ -510,26 +509,24 @@ def fit_table(cover, values, kernel, mode, workers=1):
 
     Patch l is fit on the rows ``cover.members[l]`` of ``cover.nodes`` and
     ``values`` (samples that passed ``check_samples`` on the cover's
-    surface).  The fits run under ``one_blas_thread`` on the calling thread
-    and ``workers - 1`` more, which take the patches in order; the
-    factorization releases the GIL, so the threads overlap.  A fit's bits
-    depend on its own patch only, so every ``workers`` gives the serial
-    table, and a failing fit raises the serial loop's PatchFitError, the
-    one of the lowest failing patch.  Where ``_scipy_lapack`` found no
-    GIL-free factorization the fits run serially.  ValueError for
-    ``workers`` < 1.
+    surface).  The fits run under ``one_blas_thread`` through
+    ``map_in_order``: above one worker, on ``min(workers, patches)``
+    threads while the caller waits; the factorization releases the GIL, so
+    the threads overlap.  A fit's bits depend on its own patch only, so
+    every ``workers`` gives the serial table, and a failing fit raises the
+    serial loop's PatchFitError, the one of the lowest failing patch.
+    Where ``_scipy_lapack`` found no GIL-free factorization the fits run
+    serially.  ValueError for ``workers`` < 1.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
     def fit(l):
         idx = cover.members[l]
         return fit_patch(cover.nodes[idx], values[idx], kernel, cover.surface,
                          mode, patch_id=l)
 
     with one_blas_thread():
-        solved = _map_in_order(fit, len(cover.members),
-                               workers if _LAPACK is not None else 1)
+        solved = map_in_order(fit, range(len(cover.members)),
+                              workers if _LAPACK is not None
+                              else min(workers, 1))
     evecs, residual = zip(*solved)
     return FitTable(mode=mode, kernel=kernel, cover=cover,
                     eval_vectors=np.concatenate(evecs, axis=1),

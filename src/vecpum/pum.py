@@ -27,7 +27,6 @@ The local fields are blended unprojected and the surface operator, which is
 linear and depends only on the point, is applied once per point.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,8 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import FitTable, check_samples, fit_table, one_blas_thread
+from .localfit import (FitTable, check_samples, fit_table, map_in_order,
+                       one_blas_thread)
 
 
 @dataclass(frozen=True)
@@ -90,26 +90,22 @@ class PumApproximant:
     def batch_eval_all(self, points, workers=1):
         """(potential, field, naive_field) at covered points.
 
-        ``workers`` > 1 splits the points across threads; per-point results
-        are independent, so the output is identical to the serial path and
-        keeps the input ordering.  Raises ValueError for ``workers`` < 1
-        and for points that fail ``Surface.check``, and CoverageError
-        listing the indices of uncovered points.
+        Point blocks run on ``min(workers, blocks)`` threads while the
+        caller waits (``localfit.map_in_order``); per-point results are
+        independent, so the output is the serial one, in input order.
+        Raises ValueError for ``workers`` < 1 and for points that fail
+        ``Surface.check``, and CoverageError listing the indices of
+        uncovered points.
         """
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         points = self.surface.check(points)
         # Blocks bound the pair arrays of one incidence query; with threads,
         # every worker gets the same number of blocks.  No points make one
         # empty block.
         n_blocks = -(-len(points) // cover_mod.QUERY_BLOCK)
-        n_blocks = -(-n_blocks // workers) * workers
-        blocks = np.array_split(points, max(1, min(n_blocks, len(points))))
         if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(self._accumulate, blocks))
-        else:
-            parts = [self._accumulate(block) for block in blocks]
+            n_blocks = -(-n_blocks // workers) * workers
+        blocks = np.array_split(points, max(1, min(n_blocks, len(points))))
+        parts = map_in_order(self._accumulate, blocks, workers)
         sum_k, sum_gk, sum_ks, sum_kp, sum_pgk = [
             np.concatenate([p[k] for p in parts]) for k in range(5)]
         bad = np.nonzero(sum_k == 0.0)[0]
@@ -144,8 +140,9 @@ def build_approximant(cover, kernel, mode, values, gamma=4.0, workers=1):
     """Fit every patch, glue the potentials, and return the approximant.
 
     ``values`` are the field samples at ``cover.nodes``, checked once.
-    Patches are fit on ``workers`` threads straight into one ``FitTable``
-    that reads their nodes through the cover (``localfit.fit_table``).
+    Patches are fit straight into one ``FitTable`` that reads their nodes
+    through the cover (``localfit.fit_table``), on ``min(workers, patches)``
+    threads while the caller waits.
     The fits and the shift solve run under ``localfit.one_blas_thread``:
     for the length of the build, scipy's OpenBLAS runs at one thread in
     the whole process, and its previous count is restored afterwards.  So

@@ -266,6 +266,22 @@ def test_cli_rejects_bad_area(area, capsys, monkeypatch):
     assert "area must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem", [
+    ["--problem", "star2d", "--n", "300", "--trials", "1", "--eval-n", "300"],
+    ["--problem", "custom", "--nodes-file", "n.txt", "--values-file",
+     "v.txt"]])
+def test_cli_rejects_negative_seed(problem, capsys, monkeypatch):
+    # numpy's SeedSequence refuses a negative seed only once the run draws
+    # its nodes, which made it a run failure (exit 1).
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli.main(problem + ["--seed", "-1"]) == 2
+    assert runs == []
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        tiny_config(seed=-1)
+
+
 def test_cli_gamma_that_disconnects_the_glue_fails_typed(tmp_path, capsys):
     # At gamma=1e6 every glue weight but the nearest underflows to zero;
     # the run used to fail with numpy's "not positive definite".

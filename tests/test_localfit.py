@@ -801,12 +801,15 @@ def test_pooled_fits_raise_the_serial_error(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_fit_table_rejects_workers_below_one(workers):
+def test_fit_table_rejects_workers_below_one(workers, monkeypatch):
+    # Also where the fits fall back to the serial loop.
     cov, values = singular_patch_cover((5, 5), set(),
                                        np.random.default_rng(0))
-    with pytest.raises(ValueError, match="workers"):
-        fit_table(cov, values, RadialKernel("imq", 1.0), "curl_euclidean",
-                  workers=workers)
+    for lapack in (localfit._LAPACK, None):
+        monkeypatch.setattr(localfit, "_LAPACK", lapack)
+        with pytest.raises(ValueError, match="workers"):
+            fit_table(cov, values, RadialKernel("imq", 1.0), "curl_euclidean",
+                      workers=workers)
 
 
 def test_fits_run_serially_without_scipy_lapack(monkeypatch):
@@ -856,9 +859,27 @@ def test_thread_map_under_contention(fast_switching):
         calls.append(l)
         return l * l
 
-    assert localfit._map_in_order(square, 2000, 8) == [
+    assert localfit.map_in_order(square, range(2000), 8) == [
         l * l for l in range(2000)]
     assert sorted(calls) == list(range(2000))
+
+
+@pytest.mark.parametrize("workers,items,want", [
+    (1, 3, 0), (2, 3, 2), (64, 3, 3), (64, 0, 0)])
+def test_thread_map_starts_at_most_one_thread_per_item(workers, items, want,
+                                                       monkeypatch):
+    # min(workers, items) threads, whatever ``workers``; none at one worker.
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    assert localfit.map_in_order(str, range(items), workers) == [
+        str(l) for l in range(items)]
+    assert len(started) == want
 
 
 @pytest.mark.skipif(localfit._LAPACK is None,

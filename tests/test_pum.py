@@ -531,6 +531,29 @@ def test_workers_do_not_change_results():
     assert np.array_equal(n1, n2)
 
 
+@pytest.mark.parametrize("workers", [2, 64])
+def test_threaded_evaluation_leaves_the_caller_waiting(star_approx, workers,
+                                                       monkeypatch):
+    # Every block runs on a started thread, never on the caller's.
+    _, _, approx = star_approx
+    pts = star_points(5000, seed=28)
+    pts = pts[approx.covered_mask(pts)]
+    want = approx.batch_eval_all(pts)
+    threads = []
+    real_accumulate = PumApproximant._accumulate
+
+    def accumulate(self, points):
+        threads.append(threading.get_ident())
+        return real_accumulate(self, points)
+
+    monkeypatch.setattr(PumApproximant, "_accumulate", accumulate)
+    got = approx.batch_eval_all(pts, workers=workers)
+    assert threading.get_ident() not in threads
+    assert len(threads) >= 2 and len(set(threads)) <= workers
+    for a, b in zip(want, got):
+        assert pair_oracle.same_bits(a, b)
+
+
 def test_partition_of_unity_consistency_mismatch_raises():
     nodes, values, cov = star_setup(300, seed=19)
     kernel = RadialKernel("imq", 7.0)
@@ -731,7 +754,7 @@ def test_build_bits_do_not_depend_on_the_blas_thread_count():
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [2, 3, 64])
 def test_threaded_fits_match_serial_bitwise(workers, monkeypatch):
     serial, sol1 = ball_build()
     threads = set()
@@ -744,6 +767,7 @@ def test_threaded_fits_match_serial_bitwise(workers, monkeypatch):
     monkeypatch.setattr(localfit, "fit_patch", fit_patch)
     threaded, sol2 = ball_build(workers)
     assert 1 < len(threads) <= workers
+    assert threading.get_ident() not in threads
     for a, b in ((serial.fits.eval_vectors, threaded.fits.eval_vectors),
                  (serial.fits.fit_residual, threaded.fits.fit_residual),
                  (sol1.shifts, sol2.shifts), (sol1.residual, sol2.residual)):
