@@ -10,6 +10,7 @@ reported downstream is the mean over trials.
 
 import functools
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,6 +176,17 @@ class ExperimentError(VecPumError):
                          f"{cause}")
 
 
+class StageConfigError(ExperimentError, ConfigError):
+    """A pipeline stage failed on a ConfigError: settings that give an
+    unusable setup, which the CLI reports as a configuration error."""
+
+
+def _stage_error(stage, n, trial, cause):
+    kind = (StageConfigError if isinstance(cause, ConfigError)
+            else ExperimentError)
+    return kind(stage, n, trial, cause)
+
+
 def fit_and_glue(problem, nodes, values, config):
     """Cover, per-patch fits, and potential shifts for one node set."""
     h = spacing_from_q(config.q, problem.area, len(nodes),
@@ -195,14 +207,14 @@ def _run_trial(problem, config, n_req, trial, nodes, values, eval_pts,
     try:
         approx, solution = fit_and_glue(problem, nodes, values, config)
     except VecPumError as exc:
-        raise ExperimentError("fit", n_req, trial, exc) from exc
+        raise _stage_error("fit", n_req, trial, exc) from exc
     t1 = time.perf_counter()
     mask = approx.covered_mask(eval_pts)
     pts = eval_pts[mask]
     try:
         pot, fld = approx.batch_eval(pts, workers=config.workers)
     except VecPumError as exc:
-        raise ExperimentError("eval", n_req, trial, exc) from exc
+        raise _stage_error("eval", n_req, trial, exc) from exc
     t2 = time.perf_counter()
     e_inf, e_two = relative_vector_errors(fld, truth_field[mask])
     p_inf = p_two = float("nan")
@@ -264,9 +276,20 @@ def _box_centers(surface_kind, lo, hi, h):
     return geo.embed_points(pts) if surface_kind == "plane" else pts
 
 
+def _load_samples(path, what):
+    """The points in ``path``; ConfigError if the file holds none, which
+    numpy would read, with a warning, as one column of no rows."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        points = testbed.load_points(path)
+    if points.size == 0:
+        raise ConfigError(f"the {what} file {path!r} holds no samples")
+    return points
+
+
 def _custom_problem(config):
-    nodes = testbed.load_points(config.nodes_file)
-    values = testbed.load_points(config.values_file)
+    nodes = _load_samples(config.nodes_file, "nodes")
+    values = _load_samples(config.values_file, "values")
     if nodes.shape != values.shape:
         raise ConfigError(f"custom nodes {nodes.shape} and values "
                           f"{values.shape} differ in shape")

@@ -5,18 +5,19 @@ point per overlapping patch pair carries the condition
 psi_l(x) + b_l = psi_k(x) + b_k, collected into the sparse incidence system
 P b = c whose rank is (patch count - 1) on a connected cover.  The shifts b
 come from (optionally weighted) graph-Laplacian normal equations with one
-anchor shift pinned to zero.  The glue graph reads its edges, patch count,
-member counts and surface from its cover.
+anchor shift pinned to zero (``localfit._solve_spd``'s Cholesky, or a
+sparse LU above ``DENSE_SOLVE_MAX``).  The glue graph reads its edges,
+patch count, member counts and surface from its cover.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
+from . import localfit
 from .cover import Cover, read_only
 from .errors import CoverConnectivityError
 
@@ -149,8 +150,7 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
     rhs = p_red.T @ (w * c)
     try:
         if m - 1 <= DENSE_SOLVE_MAX:
-            factor = sla.cho_factor(normal.toarray(), check_finite=False)
-            sol = sla.cho_solve(factor, rhs, check_finite=False)
+            sol = localfit._solve_spd(normal.toarray(), rhs)
         else:
             sol = splu(normal).solve(rhs)
     except (np.linalg.LinAlgError, RuntimeError) as exc:

@@ -9,17 +9,16 @@ both sign -1).  The systems are symmetric positive definite for the shipped
 kernels, and the assembled matrices are exactly symmetric: flat blocks are
 written so, surface ones symmetrized.  Each is factored in place on one
 Fortran-ordered copy; Cholesky failures surface as PatchFitError, never
-regularized.  The factorization calls scipy's own LAPACK ``dpotrf``
-through ctypes, which releases the GIL.
+regularized.  ``_solve_spd``, the package's one dense SPD solve, calls
+scipy's own LAPACK ``dpotrf`` through ctypes, which releases the GIL, at
+one OpenBLAS thread: its bits depend on no thread or core count.
 
 ``fit_table`` solves every patch of a cover (``fit_patch`` solves one),
 above one worker on ``min(workers, patches)`` threads while the caller
-waits (``map_in_order``), with scipy's OpenBLAS pinned at one thread
-(``one_blas_thread``), so the fits' bits depend neither on the thread
-count nor on the host's core count.  It writes them straight into one
-``FitTable``: the eval vectors of all patches in one
-(d, T) table, patch after patch with no padding, laid out as the cover's
-CSR membership, through which the table reads its node coordinates.  The
+waits (``map_in_order``).  It writes them straight into one ``FitTable``:
+the eval vectors of all patches in one (d, T) table, patch after patch
+with no padding, laid out as the cover's CSR membership, through which
+the table reads its node coordinates.  The
 table's pair kernel ``pair_sums`` is the one evaluator: it forms each
 (point, patch) pair's node terms in chunks of at most ``PAIR_CHUNK`` terms
 and sums them without BLAS.  Field sums are ``bincount``s, which
@@ -382,7 +381,7 @@ _pin_saved = None
 
 @contextmanager
 def one_blas_thread():
-    """Run the body with scipy's OpenBLAS at one thread.
+    """Run the body with scipy's OpenBLAS at one thread (``_solve_spd``).
 
     The count is process-wide: while a pin is held, all of scipy's BLAS
     and LAPACK calls, on every thread, run at one thread.  The first pin
@@ -409,27 +408,30 @@ def one_blas_thread():
                 put(_pin_saved)
 
 
-def _solve_spd(a, rhs, patch_id):
-    """Solve a x = rhs for an exactly symmetric ``a``, which is left as it
-    is; PatchFitError when Cholesky finds it not positive definite.
+def _solve_spd(a, rhs):
+    """Solve a x = rhs at one BLAS thread for an exactly symmetric ``a``,
+    left as it is; LinAlgError, as from ``cho_factor``, if Cholesky fails.
 
     As ``a`` equals its transpose, ``a.copy().T`` is ``a`` in Fortran order,
     which ``potrf`` factors in place: the upper factor ``cho_factor`` forms
     from its own Fortran copy, with no copy beyond the one made here.  The
     factorization goes through scipy's LAPACK pointer without the GIL, or
-    through f2py where ``_scipy_lapack`` found none.
+    through f2py where ``_scipy_lapack`` found none.  ``one_blas_thread``
+    is held for the factorization and solve alone; nothing else takes it.
     """
     factor = a.copy().T
-    if _LAPACK is None:
-        factor, info = lapack.dpotrf(factor, lower=0, overwrite_a=1, clean=0)
-    else:
-        n, status = ctypes.c_int(len(factor)), ctypes.c_int(0)
-        _LAPACK.potrf(b"U", ctypes.byref(n), factor.ctypes.data,
-                      ctypes.byref(n), ctypes.byref(status))
-        info = status.value
-    if info > 0:
-        raise PatchFitError(patch_id, float(np.linalg.cond(a)))
-    return lapack.dpotrs(factor, rhs, lower=0)[0]
+    with one_blas_thread():
+        if _LAPACK is None:
+            factor, info = lapack.dpotrf(factor, overwrite_a=1, clean=0)
+        else:
+            n, status = ctypes.c_int(len(factor)), ctypes.c_int(0)
+            _LAPACK.potrf(b"U", ctypes.byref(n), factor.ctypes.data,
+                          ctypes.byref(n), ctypes.byref(status))
+            info = status.value
+        if info > 0:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of the "
+                                        "array is not positive definite")
+        return lapack.dpotrs(factor, rhs, lower=0)[0]
 
 
 def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
@@ -437,6 +439,7 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
 
     Returns the patch's eval vectors as a row-major (d, n) array and its
     fit residual, the relative max-norm residual of the solved system.
+    PatchFitError, with the system's condition number, if Cholesky fails.
     """
     n = len(nodes)
     rows, normals = frames = _frames(mode, surface, nodes)
@@ -444,7 +447,10 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     # In flat R^d the frame is the identity, so its products are copies.
     flat = normals is None
     rhs = (values if flat else (rows * values[:, None, :]).sum(-1)).ravel()
-    sol = _solve_spd(a, rhs, patch_id)
+    try:
+        sol = _solve_spd(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise PatchFitError(patch_id, float(np.linalg.cond(a))) from exc
     coef = per_row = sol.reshape(n, -1)
     if not flat:
         # sum_p sol_p b_p from the first product: plane z keeps its -0.0.
@@ -509,12 +515,12 @@ def fit_table(cover, values, kernel, mode, workers=1):
 
     Patch l is fit on the rows ``cover.members[l]`` of ``cover.nodes`` and
     ``values`` (samples that passed ``check_samples`` on the cover's
-    surface).  The fits run under ``one_blas_thread`` through
-    ``map_in_order``: above one worker, on ``min(workers, patches)``
-    threads while the caller waits; the factorization releases the GIL, so
-    the threads overlap.  A fit's bits depend on its own patch only, so
-    every ``workers`` gives the serial table, and a failing fit raises the
-    serial loop's PatchFitError, the one of the lowest failing patch.
+    surface).  The fits run through ``map_in_order``: above one worker, on
+    ``min(workers, patches)`` threads while the caller waits; the
+    factorization releases the GIL, so the threads overlap.  A fit's bits
+    depend on its own patch only, so every ``workers`` gives the serial
+    table, and a failing fit raises the serial loop's PatchFitError, the
+    one of the lowest failing patch.
     Where ``_scipy_lapack`` found no GIL-free factorization the fits run
     serially.  ValueError for ``workers`` < 1.
     """
@@ -523,22 +529,20 @@ def fit_table(cover, values, kernel, mode, workers=1):
         return fit_patch(cover.nodes[idx], values[idx], kernel, cover.surface,
                          mode, patch_id=l)
 
-    with one_blas_thread():
-        solved = map_in_order(fit, range(len(cover.members)),
-                              workers if _LAPACK is not None
-                              else min(workers, 1))
+    solved = map_in_order(fit, range(len(cover.members)),
+                          workers if _LAPACK is not None else min(workers, 1))
     evecs, residual = zip(*solved)
     return FitTable(mode=mode, kernel=kernel, cover=cover,
                     eval_vectors=np.concatenate(evecs, axis=1),
                     fit_residual=np.array(residual))
 
 
-def fit_global(nodes, values, kernel, surface, mode, guard=GLOBAL_FIT_GUARD):
-    """One dense fit over all samples; the O(N^3) oracle the blended
-    approximant is compared against.  Refuses node counts above ``guard``."""
-    if len(nodes) > guard:
-        raise GlobalFitSizeError(
-            f"global dense fit limited to {guard} nodes, got {len(nodes)}")
+def fit_global(nodes, values, kernel, surface, mode):
+    """One dense fit over all samples, at most ``GLOBAL_FIT_GUARD`` nodes;
+    the O(N^3) oracle the blended approximant is compared against."""
+    if len(nodes) > GLOBAL_FIT_GUARD:
+        raise GlobalFitSizeError(f"global dense fit limited to "
+                                 f"{GLOBAL_FIT_GUARD} nodes, got {len(nodes)}")
     nodes, values = check_samples(nodes, values, surface, mode)
     # One patch holding every node; the fit reads only its membership.
     whole = Cover(centers=nodes[:1], radii=np.array([np.inf]),

@@ -35,8 +35,7 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import (FitTable, check_samples, fit_table, map_in_order,
-                       one_blas_thread)
+from .localfit import FitTable, check_samples, fit_table, map_in_order
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,11 @@ def build_approximant(cover, kernel, mode, values, gamma=4.0, workers=1):
     ``values`` are the field samples at ``cover.nodes``, checked once.
     Patches are fit straight into one ``FitTable`` that reads their nodes
     through the cover (``localfit.fit_table``), on ``min(workers, patches)``
-    threads while the caller waits.
-    The fits and the shift solve run under ``localfit.one_blas_thread``:
-    for the length of the build, scipy's OpenBLAS runs at one thread in
-    the whole process, and its previous count is restored afterwards.  So
-    the approximant's bits depend neither on ``workers`` nor on the host's
-    core count.  The shifts are the approximant's ``shifts``; its glue
-    graph is ``glue.build_glue_graph(approx.cover)``.
+    threads while the caller waits.  Every Cholesky factorization runs at
+    one BLAS thread (``localfit._solve_spd``), so the approximant's bits
+    depend neither on ``workers`` nor on the host's core count.  The shifts
+    are the approximant's ``shifts``; its glue graph is
+    ``glue.build_glue_graph(approx.cover)``.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with
     # fresh mmaps, so every patch system would fault in new pages.  Freeing
@@ -158,9 +155,8 @@ def build_approximant(cover, kernel, mode, values, gamma=4.0, workers=1):
     # once and never touched.
     np.empty(16 << 20, dtype=np.uint8)
     _, values = check_samples(cover.nodes, values, cover.surface, mode)
-    with one_blas_thread():
-        fits = fit_table(cover, values, kernel, mode, workers=workers)
-        graph = glue_mod.build_glue_graph(cover)
-        p, c = glue_mod.build_shift_system(graph, fits)
-        solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
+    fits = fit_table(cover, values, kernel, mode, workers=workers)
+    graph = glue_mod.build_glue_graph(cover)
+    p, c = glue_mod.build_shift_system(graph, fits)
+    solution = glue_mod.solve_shifts(p, c, graph, gamma=gamma)
     return PumApproximant(fits=fits, shifts=solution)

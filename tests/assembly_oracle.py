@@ -4,8 +4,10 @@
 when flat R^d had its own branch: an (m, n, d) difference tensor read with
 stride d and written negated, next to the matmul-shaped surface body with
 its own left and right bases.  Every body closes with ``0.5 * (a + a.T)``,
-and ``_solve_spd`` factors through ``cho_factor``'s own Fortran copy.  The
-shared path must reproduce them bit for bit.
+and ``_solve_spd`` factors through ``cho_factor``'s own Fortran copy and
+solves with ``cho_solve``, as the shift system's dense branch also did.
+The shared path must reproduce them bit for bit, at the same BLAS thread
+count.
 """
 
 import numpy as np
@@ -15,12 +17,16 @@ from vecpum.errors import PatchFitError
 from vecpum.localfit import _ASSEMBLY_BLOCK
 
 
-def _solve_spd(a, rhs, patch_id):
+def _solve_spd(a, rhs):
+    factor = sla.cho_factor(a, lower=False, check_finite=False)
+    return sla.cho_solve(factor, rhs, check_finite=False)
+
+
+def _solve_patch(a, rhs, patch_id):
     try:
-        factor = sla.cho_factor(a, lower=False, check_finite=False)
+        return _solve_spd(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise PatchFitError(patch_id, float(np.linalg.cond(a))) from exc
-    return sla.cho_solve(factor, rhs, check_finite=False)
 
 
 def _surface_bases(mode, frames):
@@ -92,14 +98,14 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     if mode == "curl_euclidean":
         a = assemble_system(kernel, surface, nodes, mode)
         rhs = values.reshape(-1)
-        sol = _solve_spd(a, rhs, patch_id)
+        sol = _solve_patch(a, rhs, patch_id)
         evec = sol.reshape(n, nodes.shape[1])
     else:
         frames = surface.tangent_frames(nodes)
         d, e, normal = frames
         a = assemble_system(kernel, surface, nodes, mode, frames=frames)
         rhs = (np.stack([d, e], axis=1) * values[:, None, :]).sum(-1).ravel()
-        sol = _solve_spd(a, rhs, patch_id)
+        sol = _solve_patch(a, rhs, patch_id)
         alpha_beta = sol.reshape(n, 2)
         coef = alpha_beta[:, 0:1] * d + alpha_beta[:, 1:2] * e
         evec = np.cross(normal, coef) if mode == "div_surface" else coef

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vecpum import cli, experiment, geometry, testbed
+from vecpum.errors import ConfigError
 from vecpum.experiment import (RunConfig, default_config, emit_csv,
                                emit_summary, fit_rate, run_experiment)
 
@@ -460,3 +461,57 @@ def test_default_configs_match_benchmarks():
     assert ball.delta == 0.25
     for cfg in (star, sphere, ball):
         assert cfg.gamma == 4.0
+
+
+def test_cli_config_error_inside_a_stage_exits_2(capsys):
+    # At q=60 the patches are too large for any plane patch center to lie
+    # inside the star.  The cover fails in the fit stage with a
+    # ConfigError, which is a configuration error naming the stage, N and
+    # trial, not a run failure.
+    code = cli.main(["--problem", "star2d", "--n", "300", "--trials", "1",
+                     "--eval-n", "300", "--q", "60"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("vecpum: configuration error: stage 'fit' failed "
+                          "at N=300, trial=0: no plane patch centers")
+    assert err.count("\n") == 1
+    with pytest.raises(experiment.ExperimentError) as info:
+        run_experiment(tiny_config(q=60.0))
+    assert isinstance(info.value, ConfigError)
+    assert (info.value.stage, type(info.value.__cause__)) == ("fit",
+                                                              ConfigError)
+
+
+def test_cli_patch_fit_failure_is_a_run_failure(capsys):
+    # A local system that is not numerically positive definite still fails
+    # the run, as a glue graph the weights disconnect does (above).
+    code = cli.main(["--problem", "star2d", "--n", "2500", "--trials", "1",
+                     "--eval-n", "500", "--eps", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("vecpum: run failed: stage 'fit' failed")
+    assert "not numerically positive definite" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+@pytest.mark.parametrize("empty", ["nodes", "values"])
+def test_cli_custom_file_without_samples(empty, text, tmp_path, capsys,
+                                         monkeypatch):
+    # numpy reads such a file, with a warning, as one column of no rows,
+    # which used to be reported as the wrong column count for the surface.
+    builds = []
+    monkeypatch.setattr(experiment, "build_approximant",
+                        lambda *args, **kw: builds.append(args))
+    nodes = testbed.nodes_star(300, 2)
+    files = {"nodes": tmp_path / "n.txt", "values": tmp_path / "v.txt"}
+    testbed.save_points(nodes, files["nodes"])
+    testbed.save_points(testbed.u1(nodes), files["values"])
+    files[empty].write_text(text)
+    code = cli.main(["--problem", "custom", "--nodes-file",
+                     str(files["nodes"]), "--values-file",
+                     str(files["values"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert builds == []
+    assert err == (f"vecpum: configuration error: the {empty} file "
+                   f"{str(files[empty])!r} holds no samples\n")

@@ -574,8 +574,7 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     samples = [pair_case_samples(surface, rng, n) for n in sizes]
     probes = pair_case_samples(surface, rng, 13)[0]
     # The table reads each patch's samples through a shuffled member index;
-    # it holds what fit_patch solves for each patch alone, at the one BLAS
-    # thread the table is fit at.
+    # it holds what fit_patch, called directly, solves for each patch alone.
     member_index = rng.permutation(sum(sizes))
     nodes = np.empty((sum(sizes), surface.dim))
     values = np.empty_like(nodes)
@@ -589,8 +588,7 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     fits = list(table)
     assert len(fits) == len(sizes)
     for fit, (pts, vals) in zip(fits, samples):
-        with localfit.one_blas_thread():
-            evec, residual = fit_patch(pts, vals, kernel, surface, mode)
+        evec, residual = fit_patch(pts, vals, kernel, surface, mode)
         assert pair_oracle.same_bits(fit.nodes, pts)
         assert pair_oracle.same_bits(pair_oracle.eval_vectors(fit), evec.T)
         assert fit.fit_residual == residual
@@ -687,7 +685,8 @@ def test_one_formulation_matches_per_mode_bodies(family, name, n):
     # the identity frame; it must carry the bits of the separate flat and
     # surface bodies it replaced: the matrices, and for n <= 300 the eval
     # vectors (the -0.0 z components of plane curl-free ones included) and
-    # the fit residual.  The solve factors a.copy().T as a in Fortran
+    # the fit residual, the oracle solving at the one BLAS thread that
+    # fit_patch factors at.  The solve factors a.copy().T as a in Fortran
     # order, so every bit of a must equal its mirror: flat systems are
     # written symmetric, not symmetrized.
     surface, mode, eps = ORACLE_GEOMETRIES[name]
@@ -701,8 +700,9 @@ def test_one_formulation_matches_per_mode_bodies(family, name, n):
     if n > 300:
         return
     evec, residual = fit_patch(nodes, values, kernel, surface, mode)
-    want_evec, want_residual = assembly_oracle.fit_patch(
-        nodes, values, kernel, surface, mode)
+    with localfit.one_blas_thread():
+        want_evec, want_residual = assembly_oracle.fit_patch(
+            nodes, values, kernel, surface, mode)
     assert pair_oracle.same_bits(evec, want_evec)
     assert pair_oracle.same_bits(residual, want_residual)
 
@@ -722,31 +722,46 @@ def oracle_system(family, name, n, eps=None):
 @pytest.mark.parametrize("name", sorted(ORACLE_GEOMETRIES))
 @pytest.mark.parametrize("family", ["imq", "matern4"])
 def test_in_place_solve_matches_cho_factor(family, name, n):
-    # potrf on a.copy().T must give cho_factor's solution bit for bit, and
-    # leave the matrix that the fit residual is formed from as it was.
+    # potrf on a.copy().T must give cho_factor's solution bit for bit, at
+    # the same one BLAS thread, and leave the matrix that the fit residual
+    # is formed from as it was.
     a, rhs = oracle_system(family, name, n)
     kept, rhs_kept = a.copy(), rhs.copy()
-    sol = localfit._solve_spd(a, rhs, 3)
+    sol = localfit._solve_spd(a, rhs)
     assert pair_oracle.same_bits(a, kept)
     assert pair_oracle.same_bits(rhs, rhs_kept)
-    assert pair_oracle.same_bits(sol,
-                                 assembly_oracle._solve_spd(a, rhs, 3))
+    with localfit.one_blas_thread():
+        want = assembly_oracle._solve_spd(a, rhs)
+    assert pair_oracle.same_bits(sol, want)
 
 
 @pytest.mark.parametrize("name", ["plane_div", "r3"])
 def test_in_place_solve_fails_as_cho_factor(name):
-    # Systems far too flat to be numerically positive definite raise the
-    # same PatchFitError, with the same condition estimate, as before.
+    # Systems far too flat to be numerically positive definite fail the
+    # solve with cho_factor's LinAlgError, at the same leading minor, and
+    # the fit with the same PatchFitError, with the same condition
+    # estimate, as before.
     a, rhs = oracle_system("imq", name, 300, eps=0.5)
-    with pytest.raises(PatchFitError) as want:
-        assembly_oracle._solve_spd(a, rhs, 5)
+    surface, mode, _ = ORACLE_GEOMETRIES[name]
+    nodes, values = check_samples(*oracle_patch(name, 300), surface, mode)
+    kernel = RadialKernel("imq", 0.5)
+    with localfit.one_blas_thread():
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            assembly_oracle._solve_spd(a, rhs)
+        with pytest.raises(PatchFitError) as want_fit:
+            assembly_oracle.fit_patch(nodes, values, kernel, surface, mode,
+                                      patch_id=5)
     kept = a.copy()
-    with pytest.raises(PatchFitError) as got:
-        localfit._solve_spd(a, rhs, 5)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        localfit._solve_spd(a, rhs)
     assert pair_oracle.same_bits(a, kept)
-    assert got.value.patch_id == 5
-    assert pair_oracle.same_bits(got.value.cond, want.value.cond)
     assert str(got.value) == str(want.value)
+    with pytest.raises(PatchFitError) as got_fit:
+        fit_patch(nodes, values, kernel, surface, mode, patch_id=5)
+    assert got_fit.value.patch_id == 5
+    assert pair_oracle.same_bits(got_fit.value.cond, want_fit.value.cond)
+    assert str(got_fit.value) == str(want_fit.value)
+    assert isinstance(got_fit.value.__cause__, np.linalg.LinAlgError)
 
 
 def singular_patch_cover(sizes, singular, rng):
@@ -834,8 +849,8 @@ def test_fits_run_serially_without_scipy_lapack(monkeypatch):
         serial = fit_table(cov, values, kernel, "curl_euclidean", workers=2)
         pairs = ((serial.eval_vectors, pooled.eval_vectors),
                  (serial.fit_residual, pooled.fit_residual),
-                 (localfit._solve_spd(a, rhs, 3),
-                  assembly_oracle._solve_spd(a, rhs, 3)))
+                 (localfit._solve_spd(a, rhs),
+                  assembly_oracle._solve_spd(a, rhs)))
     assert threads == {threading.get_ident()}
     for got, want in pairs:
         assert pair_oracle.same_bits(got, want)

@@ -11,6 +11,7 @@ import threading
 import numpy as np
 import pytest
 
+import assembly_oracle
 import pair_oracle
 import vecpum
 from vecpum import cover, geometry, glue, localfit, pum, testbed
@@ -747,7 +748,8 @@ BUILD_HASHES = textwrap.dedent("""
 
 def test_build_bits_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS dpotrf gives other bits at 1 and 2 threads on systems of
-    # ~200 rows and more, so the build runs scipy's OpenBLAS at one thread.
+    # ~200 rows and more, so every factorization runs scipy's OpenBLAS at
+    # one thread.
     runs = [run_script(BUILD_HASHES, OPENBLAS_NUM_THREADS=threads).split()
             for threads in ("1", "2")]
     assert int(runs[0][0]) >= 200
@@ -779,24 +781,44 @@ def test_threaded_fits_match_serial_bitwise(workers, monkeypatch):
 @pytest.mark.parametrize("fail", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_build_restores_the_blas_thread_count(workers, fail, monkeypatch):
-    # The fits and the shift solve run at one thread; the caller's count
-    # comes back after the build, also when a fit raises.
-    _, get, put = localfit._LAPACK
+    # Every factorization and solve, of the patch fits and of the shift
+    # system, runs at one thread; the caller's count holds elsewhere in the
+    # build and comes back after it, also when a factorization fails.
+    potrf, get, put = localfit._LAPACK
     nodes, values, cov = star_setup(700, seed=25)
-    seen = []
+    inside, outside = [], []
+    fitting = threading.local()
     real_fit, real_solve = localfit.fit_patch, glue.solve_shifts
+    real_potrs = localfit.lapack.dpotrs
 
     def fit_patch(*args, patch_id, **kwargs):
-        seen.append(get())
-        if fail and patch_id == 5:
-            raise PatchFitError(patch_id, 1e20)
-        return real_fit(*args, patch_id=patch_id, **kwargs)
+        # Above one worker another thread may hold the pin here.
+        if workers == 1:
+            outside.append(get())
+        fitting.patch = patch_id
+        try:
+            return real_fit(*args, patch_id=patch_id, **kwargs)
+        finally:
+            fitting.patch = None
+
+    def counting_potrf(*args):
+        inside.append(get())
+        if fail and getattr(fitting, "patch", None) == 5:
+            raise np.linalg.LinAlgError("patch 5 fails")
+        return potrf(*args)
+
+    def dpotrs(*args, **kwargs):
+        inside.append(get())
+        return real_potrs(*args, **kwargs)
 
     def solve_shifts(*args, **kwargs):
-        seen.append(get())
+        outside.append(get())
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(localfit, "fit_patch", fit_patch)
+    monkeypatch.setattr(localfit, "_LAPACK",
+                        localfit._LAPACK._replace(potrf=counting_potrf))
+    monkeypatch.setattr(localfit.lapack, "dpotrs", dpotrs)
     monkeypatch.setattr(glue, "solve_shifts", solve_shifts)
     before = get()
     put(2)
@@ -808,5 +830,82 @@ def test_build_restores_the_blas_thread_count(workers, fail, monkeypatch):
         assert get() == 2
     finally:
         put(before)
-    assert seen and set(seen) == {1}
-    assert fail or len(seen) == len(cov.members) + 1
+    assert inside and set(inside) == {1}
+    assert set(outside) <= {2}
+    # One factorization and one solve per patch and for the shifts.
+    assert fail or len(inside) == 2 * (len(cov.members) + 1)
+    assert len(outside) == (0 if workers > 1 else 6 if fail
+                            else len(cov.members)) + (not fail)
+
+
+# The ball N=12000 cover has 461 patches; its largest patch system has 468
+# rows.  The shifts solve against potential differences from a stand-in
+# for the fits.
+DIRECT_SOLVE_HASHES = textwrap.dedent("""
+    import hashlib, sys
+    import numpy as np
+    from vecpum import cover, glue, localfit, testbed
+    from vecpum.experiment import default_config
+    from vecpum.kernels import RadialKernel
+    glue.DENSE_SOLVE_MAX = int(sys.argv[1])
+    problem, config = testbed.ball_problem(), default_config("ball")
+    nodes = testbed.nodes_ball(12000, 3)
+    h = cover.spacing_from_q(config.q, problem.area, len(nodes), 3)
+    cov = cover.assign_radii_and_inflate(problem.make_centers(h), nodes,
+                                         config.delta, problem.surface, h)
+
+    class Potentials:
+        def pair_sums(self, points, patch, with_field):
+            return np.sin((patch + 1) * points.sum(-1)), None
+
+    graph = glue.build_glue_graph(cov)
+    p, c = glue.build_shift_system(graph, Potentials())
+    shifts = glue.solve_shifts(p, c, graph).shifts
+    biggest = cov.members[int(np.argmax(cov.member_counts()))]
+    evec, residual = localfit.fit_patch(
+        nodes[biggest], problem.field(nodes[biggest]),
+        RadialKernel(config.kernel, config.eps), problem.surface,
+        problem.mode)
+    print(len(cov), 3 * len(biggest))
+    for bits in (shifts, evec, np.float64(residual)):
+        print(hashlib.sha256(bits.tobytes()).hexdigest())
+""")
+
+
+@pytest.mark.parametrize("dense_max", [glue.DENSE_SOLVE_MAX, 0],
+                         ids=["dense", "sparse"])
+def test_direct_solves_do_not_depend_on_the_blas_thread_count(dense_max):
+    # Called outside a build, the shift solve (461 patches, the dense
+    # Cholesky or, with no dense branch, the sparse LU) and one patch fit
+    # give the same bits at one and two OpenBLAS threads.
+    runs = [run_script(DIRECT_SOLVE_HASHES, str(dense_max),
+                       OPENBLAS_NUM_THREADS=threads).split()
+            for threads in ("1", "2")]
+    assert int(runs[0][0]) >= 400 and int(runs[0][1]) >= 200
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name,n", [("ball", 3000), ("sphere", 2000),
+                                    ("star2d", 2500)])
+def test_dense_shift_solve_matches_cho_factor(name, n, monkeypatch):
+    # The seeded CLI builds' dense shift solves give the bits of the
+    # cho_factor / cho_solve pair they replaced, at the same BLAS thread.
+    problem = testbed.PROBLEMS[name]()
+    nodes = problem.nodes(n, 3)
+    approx, solution = fit_and_glue(problem, nodes, problem.field(nodes),
+                                    default_config(name))
+    graph = glue.build_glue_graph(approx.cover)
+    p, c = glue.build_shift_system(graph, approx.fits)
+    assert len(approx.cover) - 1 <= glue.DENSE_SOLVE_MAX
+    solved = []
+
+    def cho_solve(a, rhs):
+        solved.append(len(a))
+        with localfit.one_blas_thread():
+            return assembly_oracle._solve_spd(a, rhs)
+
+    monkeypatch.setattr(localfit, "_solve_spd", cho_solve)
+    want = glue.solve_shifts(p, c, graph)
+    assert solved == [len(approx.cover) - 1]
+    assert pair_oracle.same_bits(solution.shifts, want.shifts)
+    assert pair_oracle.same_bits(solution.residual, want.residual)
