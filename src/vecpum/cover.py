@@ -172,9 +172,9 @@ class Cover:
         offsets = np.concatenate(
             ([0], np.cumsum([len(idx) for idx in self.members])))
         tree = cKDTree(self.centers)
-        coincident = tree.query_pairs(0.0)
-        if coincident:
-            l, k = min(coincident)
+        coincident = coincident_pair(tree)
+        if coincident is not None:
+            l, k = coincident
             raise ConfigError(f"patches {l} and {k} have the same center")
         edges = patch_graph_edges(self.centers, self.radii, tree)
         for owned in (member_index, offsets, edges):
@@ -184,9 +184,7 @@ class Cover:
                        tree=tree, edges=edges)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        m = len(self.centers)
-        adj = sparse.coo_matrix((np.ones(len(edges)), edges.T), shape=(m, m))
-        n_comp, _ = connected_components(adj, directed=False)
+        n_comp = component_count(len(self.centers), edges)
         if n_comp != 1:
             raise CoverConnectivityError(
                 f"patch graph has {n_comp} connected components; the "
@@ -261,6 +259,19 @@ def _initial_radius(surface, spacing, overlap):
     if surface.intrinsic_dim == 3:
         return (1.0 + overlap) * np.sqrt(3.0) * spacing / 2.0
     return (1.0 + overlap) * spacing / 2.0
+
+
+def coincident_pair(tree):
+    """The lowest pair (l, k), l < k, of points of ``tree`` at distance
+    zero, or None when the points are pairwise distinct."""
+    return min(tree.query_pairs(0.0), default=None)
+
+
+def component_count(m, edges):
+    """The number of connected components of the graph on ``m`` vertices
+    with the (l, k) rows of ``edges`` as its edges."""
+    adj = sparse.coo_matrix((np.ones(len(edges)), edges.T), shape=(m, m))
+    return connected_components(adj, directed=False)[0]
 
 
 def patch_graph_edges(centers, radii, tree):

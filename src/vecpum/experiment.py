@@ -277,11 +277,16 @@ def _box_centers(surface_kind, lo, hi, h):
 
 
 def _load_samples(path, what):
-    """The points in ``path``; ConfigError if the file holds none, which
-    numpy would read, with a warning, as one column of no rows."""
+    """The points in ``path``; ConfigError if numpy cannot read the file as
+    rows of numbers of one length, or if it holds none, which numpy would
+    read, with a warning, as one column of no rows."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        points = testbed.load_points(path)
+        try:
+            points = testbed.load_points(path)
+        except ValueError as exc:
+            raise ConfigError(f"the {what} file {path!r} holds malformed "
+                              f"samples: {exc}") from exc
     if points.size == 0:
         raise ConfigError(f"the {what} file {path!r} holds no samples")
     return points

@@ -5,25 +5,19 @@ point per overlapping patch pair carries the condition
 psi_l(x) + b_l = psi_k(x) + b_k, collected into the sparse incidence system
 P b = c whose rank is (patch count - 1) on a connected cover.  The shifts b
 come from (optionally weighted) graph-Laplacian normal equations with one
-anchor shift pinned to zero (``localfit._solve_spd``'s Cholesky, or a
-sparse LU above ``DENSE_SOLVE_MAX``).  The glue graph reads its edges,
-patch count, member counts and surface from its cover.
+anchor shift pinned to zero, solved by a sparse LU (SuperLU) at every
+cover size.  The glue graph reads its edges, patch count, member counts
+and surface from its cover.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from . import localfit
-from .cover import Cover, read_only
+from .cover import Cover, component_count, read_only
 from .errors import CoverConnectivityError
-
-# Above this many patches the anchored normal equations are solved by a
-# sparse LU factorization instead of a dense Cholesky.
-DENSE_SOLVE_MAX = 6000
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +132,7 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
     message = (f"the glue edges with positive weight at gamma={gamma:g} "
                "leave the patch graph disconnected, or nearly so")
     strong = graph.edges[w >= np.sqrt(np.finfo(float).eps)]
-    linked = sparse.coo_matrix((np.ones(len(strong)), strong.T),
-                               shape=(m, m))
-    if connected_components(linked, directed=False)[0] != 1:
+    if component_count(m, strong) != 1:
         raise CoverConnectivityError(
             f"{message}: the edges of weight >= sqrt(eps) do not connect it")
     keep = np.arange(m) != anchor
@@ -149,11 +141,8 @@ def solve_shifts(p, c, graph, gamma=4.0, anchor=None):
     normal = (p_red.T @ wp).tocsc()
     rhs = p_red.T @ (w * c)
     try:
-        if m - 1 <= DENSE_SOLVE_MAX:
-            sol = localfit._solve_spd(normal.toarray(), rhs)
-        else:
-            sol = splu(normal).solve(rhs)
-    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        sol = splu(normal).solve(rhs)
+    except RuntimeError as exc:
         raise CoverConnectivityError(message) from exc
     shifts = np.zeros(m)
     shifts[keep] = sol

@@ -9,9 +9,10 @@ both sign -1).  The systems are symmetric positive definite for the shipped
 kernels, and the assembled matrices are exactly symmetric: flat blocks are
 written so, surface ones symmetrized.  Each is factored in place on one
 Fortran-ordered copy; Cholesky failures surface as PatchFitError, never
-regularized.  ``_solve_spd``, the package's one dense SPD solve, calls
-scipy's own LAPACK ``dpotrf`` through ctypes, which releases the GIL, at
-one OpenBLAS thread: its bits depend on no thread or core count.
+regularized.  ``_solve_spd``, the package's one dense SPD solve, serves
+the patch fits alone.  It calls scipy's own LAPACK ``dpotrf`` through
+ctypes, which releases the GIL, at one OpenBLAS thread: its bits depend
+on no thread or core count.
 
 ``fit_table`` solves every patch of a cover (``fit_patch`` solves one),
 above one worker on ``min(workers, patches)`` threads while the caller
@@ -40,7 +41,7 @@ from scipy.linalg import lapack
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .cover import Cover
+from .cover import Cover, coincident_pair
 from .errors import GlobalFitSizeError, PatchFitError
 from .kernels import RadialKernel
 
@@ -71,10 +72,8 @@ def check_samples(nodes, values, surface, mode):
         raise ValueError("nodes and values must have matching shapes")
     if not np.isfinite(values).all():
         raise ValueError("sample values must be finite")
-    if len(nodes) > 1:
-        dist, _ = cKDTree(nodes).query(nodes, k=2)
-        if dist[:, 1].min() == 0.0:
-            raise ValueError("sample nodes must be pairwise distinct")
+    if coincident_pair(cKDTree(nodes)) is not None:
+        raise ValueError("sample nodes must be pairwise distinct")
     if mode != "curl_euclidean":
         scale = max(1.0, float(np.abs(values).max()))
         off = np.abs((surface.normals(nodes) * values).sum(-1)).max()
@@ -381,7 +380,8 @@ _pin_saved = None
 
 @contextmanager
 def one_blas_thread():
-    """Run the body with scipy's OpenBLAS at one thread (``_solve_spd``).
+    """Run the body with scipy's OpenBLAS at one thread (``_solve_spd``,
+    around each patch factorization and solve).
 
     The count is process-wide: while a pin is held, all of scipy's BLAS
     and LAPACK calls, on every thread, run at one thread.  The first pin
@@ -418,6 +418,7 @@ def _solve_spd(a, rhs):
     factorization goes through scipy's LAPACK pointer without the GIL, or
     through f2py where ``_scipy_lapack`` found none.  ``one_blas_thread``
     is held for the factorization and solve alone; nothing else takes it.
+    ``fit_patch`` is the one caller.
     """
     factor = a.copy().T
     with one_blas_thread():

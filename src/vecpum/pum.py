@@ -97,11 +97,12 @@ class PumApproximant:
         uncovered points.
         """
         points = self.surface.check(points)
-        # Blocks bound the pair arrays of one incidence query; with threads,
-        # every worker gets the same number of blocks.  No points make one
-        # empty block.
+        # Blocks bound the pair arrays of one incidence query.  With more
+        # blocks than workers, the count rounds up so that every worker
+        # gets as many; with fewer, each block gets a thread of its own.
+        # No points make one empty block.
         n_blocks = -(-len(points) // cover_mod.QUERY_BLOCK)
-        if workers > 1:
+        if 1 < workers < n_blocks:
             n_blocks = -(-n_blocks // workers) * workers
         blocks = np.array_split(points, max(1, min(n_blocks, len(points))))
         parts = map_in_order(self._accumulate, blocks, workers)
@@ -141,10 +142,11 @@ def build_approximant(cover, kernel, mode, values, gamma=4.0, workers=1):
     ``values`` are the field samples at ``cover.nodes``, checked once.
     Patches are fit straight into one ``FitTable`` that reads their nodes
     through the cover (``localfit.fit_table``), on ``min(workers, patches)``
-    threads while the caller waits.  Every Cholesky factorization runs at
-    one BLAS thread (``localfit._solve_spd``), so the approximant's bits
-    depend neither on ``workers`` nor on the host's core count.  The shifts
-    are the approximant's ``shifts``; its glue graph is
+    threads while the caller waits.  Every patch factorization runs at one
+    BLAS thread (``localfit._solve_spd``), so the fits' bits depend neither
+    on ``workers`` nor on the host's core count.  The shifts are solved by
+    a sparse LU (``glue.solve_shifts``) at the caller's BLAS thread count,
+    and are the approximant's ``shifts``; its glue graph is
     ``glue.build_glue_graph(approx.cover)``.
     """
     # glibc serves blocks above its mmap threshold (128 KiB at start) with

@@ -5,9 +5,9 @@ when flat R^d had its own branch: an (m, n, d) difference tensor read with
 stride d and written negated, next to the matmul-shaped surface body with
 its own left and right bases.  Every body closes with ``0.5 * (a + a.T)``,
 and ``_solve_spd`` factors through ``cho_factor``'s own Fortran copy and
-solves with ``cho_solve``, as the shift system's dense branch also did.
-The shared path must reproduce them bit for bit, at the same BLAS thread
-count.
+solves with ``cho_solve``.  The shared path must reproduce them bit for
+bit, at the same BLAS thread count.  ``_solve_spd`` is also the dense
+reference the sparse LU of the shift system is held to, within rounding.
 """
 
 import numpy as np

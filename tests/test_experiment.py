@@ -515,3 +515,32 @@ def test_cli_custom_file_without_samples(empty, text, tmp_path, capsys,
     assert builds == []
     assert err == (f"vecpum: configuration error: the {empty} file "
                    f"{str(files[empty])!r} holds no samples\n")
+
+
+@pytest.mark.parametrize("text,numpy_says", [
+    ("foo bar\n", "could not convert string 'foo'"),
+    ("0.1 0.2\n0.3\n", "the number of columns changed")],
+    ids=["non-numeric", "ragged"])
+@pytest.mark.parametrize("bad", ["nodes", "values"])
+def test_cli_custom_file_with_malformed_samples(bad, text, numpy_says,
+                                                tmp_path, capsys,
+                                                monkeypatch):
+    # numpy's ValueError used to end the run as a failure (exit 1) without
+    # naming the file.
+    builds = []
+    monkeypatch.setattr(experiment, "build_approximant",
+                        lambda *args, **kw: builds.append(args))
+    nodes = testbed.nodes_star(300, 2)
+    files = {"nodes": tmp_path / "n.txt", "values": tmp_path / "v.txt"}
+    testbed.save_points(nodes, files["nodes"])
+    testbed.save_points(testbed.u1(nodes), files["values"])
+    files[bad].write_text(text)
+    code = cli.main(["--problem", "custom", "--nodes-file",
+                     str(files["nodes"]), "--values-file",
+                     str(files["values"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert builds == []
+    assert err.startswith(f"vecpum: configuration error: the {bad} file "
+                          f"{str(files[bad])!r} holds malformed samples: ")
+    assert numpy_says in err and err.count("\n") == 1

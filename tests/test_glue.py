@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+import assembly_oracle
 import pair_oracle
 from vecpum import geometry, glue, testbed
 from vecpum.cover import (Cover, assign_radii_and_inflate,
@@ -91,7 +92,8 @@ def test_fit_and_glue_builds_the_patch_graph_once(monkeypatch):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] != "vecpum":
             continue
-        for name in ("patch_graph_edges", "connected_components"):
+        for name in ("patch_graph_edges", "component_count",
+                     "connected_components"):
             fn = getattr(mod, name, None)
             if fn is None:
                 continue
@@ -107,9 +109,11 @@ def test_fit_and_glue_builds_the_patch_graph_once(monkeypatch):
                  default_config("star2d"))
     # The cover builds and checks its patch graph once; the shift solve
     # checks once that the edges of weight >= sqrt(eps) still connect it.
+    # Both checks are the cover's one connected_components call.
     assert calls == {("vecpum.cover", "patch_graph_edges"): 1,
-                     ("vecpum.cover", "connected_components"): 1,
-                     ("vecpum.glue", "connected_components"): 1}
+                     ("vecpum.cover", "component_count"): 1,
+                     ("vecpum.glue", "component_count"): 1,
+                     ("vecpum.cover", "connected_components"): 2}
 
 
 def test_shift_system_identical_potentials():
@@ -178,6 +182,8 @@ def test_glue_graph_edges_are_the_cover_edges(glued):
 
 
 def test_sparse_shift_solve_matches_dense(glued, monkeypatch):
+    # One sparse LU per solve, agreeing to rounding with cho_factor on the
+    # same anchored, weighted normal equations formed densely.
     approx, graph = glued
     p, c = glue.build_shift_system(graph, approx.fits)
     factorizations = Counter()
@@ -188,27 +194,25 @@ def test_sparse_shift_solve_matches_dense(glued, monkeypatch):
         return splu(a)
 
     monkeypatch.setattr(glue, "splu", counted_splu)
-    dense = glue.solve_shifts(p, c, graph)
-    assert factorizations["splu"] == 0
-    monkeypatch.setattr(glue, "DENSE_SOLVE_MAX", 0)
-    sparse = glue.solve_shifts(p, c, graph)
+    got = glue.solve_shifts(p, c, graph)
     assert factorizations["splu"] == 1
-    assert sparse.anchor == dense.anchor
-    scale = np.abs(dense.shifts).max()
-    assert np.abs(sparse.shifts - dense.shifts).max() <= 1e-12 * scale
-    assert np.abs(sparse.residual - dense.residual).max() <= 1e-12 * scale
+    keep = np.arange(len(graph.cover)) != got.anchor
+    w = glue.glue_weights(graph, 4.0)
+    dense = p.toarray()[:, keep]
+    want = np.zeros(len(graph.cover))
+    want[keep] = assembly_oracle._solve_spd(dense.T @ (w[:, None] * dense),
+                                            dense.T @ (w * c))
+    scale = np.abs(want).max()
+    assert np.abs(got.shifts - want).max() <= 1e-12 * scale
+    assert np.abs(got.residual - (p @ want - c)).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("dense_max", [glue.DENSE_SOLVE_MAX, 0])
 @pytest.mark.parametrize("offset", [1e-3, 1e-12])
-def test_underflowing_glue_weights_raise_connectivity_error(
-        offset, dense_max, monkeypatch):
+def test_underflowing_glue_weights_raise_connectivity_error(offset):
     # A copy of center 0 moved by ``offset`` gives one glue point almost
     # at its patches' centers, so r_min is tiny and every other edge weight
     # exp(-gamma (1 - r/r_min)^2) underflows to zero.  The factorization of
-    # the weighted system then failed with a raw LinAlgError (Cholesky) or
-    # RuntimeError (splu).
-    monkeypatch.setattr(glue, "DENSE_SOLVE_MAX", dense_max)
+    # the weighted system then failed with a raw RuntimeError (splu).
     problem = testbed.star_problem()
     nodes = problem.nodes(600, 9)
     config = default_config("star2d")

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 import sympy
+from scipy.spatial import cKDTree
 
 import assembly_oracle
 import pair_oracle
@@ -467,6 +468,27 @@ def test_sampleset_validation():
     with pytest.raises(ConfigError, match="member"):
         Cover(centers=np.zeros((1, 3)), radii=np.array([1.0]),
               members=[np.arange(0)], nodes=empty, surface=PLANE)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-155, 1e-160, 1e-162, 1e-200,
+                                 1e-300])
+def test_repeated_nodes_are_those_with_a_nearest_neighbour_at_zero(gap):
+    # Node 30 sits ``gap`` from node 7, which has a -0.0 coordinate where
+    # node 30 has 0.0.  The samples are refused exactly when a nearest-
+    # neighbour query puts some node's nearest other node at distance 0.0:
+    # at the duplicate and wherever the squared gap underflows.
+    nodes = np.random.default_rng(5).uniform(-1.0, 1.0, (50, 2))
+    nodes[7] = [0.0, -0.0]
+    nodes[30] = [gap, 0.0]
+    dist, _ = cKDTree(nodes).query(nodes, k=2)
+    repeated = dist[:, 1].min() == 0.0
+    assert repeated == (gap * gap == 0.0)
+    flat = geometry.euclidean(2)
+    if repeated:
+        assert_samples_rejected(nodes, -nodes, flat, "curl_euclidean",
+                                match="distinct")
+    else:
+        check_samples(nodes, -nodes, flat, "curl_euclidean")
 
 
 def test_tangency_tolerance_spans_the_whole_set():

@@ -555,6 +555,29 @@ def test_threaded_evaluation_leaves_the_caller_waiting(star_approx, workers,
         assert pair_oracle.same_bits(a, b)
 
 
+def test_evaluation_starts_no_more_threads_than_blocks(star_approx,
+                                                       monkeypatch):
+    # 3,000 points make two blocks of at most QUERY_BLOCK points; 64
+    # workers must not cut them into 64 smaller blocks on 64 threads.
+    _, _, approx = star_approx
+    pts = star_points(3000, seed=29)
+    pts = pts[approx.covered_mask(pts)]
+    assert cover.QUERY_BLOCK < len(pts) <= 2 * cover.QUERY_BLOCK
+    want = approx.batch_eval_all(pts)
+    started = []
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Thread)
+    got = approx.batch_eval_all(pts, workers=64)
+    assert len(started) == 2
+    for a, b in zip(want, got):
+        assert pair_oracle.same_bits(a, b)
+
+
 def test_partition_of_unity_consistency_mismatch_raises():
     nodes, values, cov = star_setup(300, seed=19)
     kernel = RadialKernel("imq", 7.0)
@@ -781,9 +804,9 @@ def test_threaded_fits_match_serial_bitwise(workers, monkeypatch):
 @pytest.mark.parametrize("fail", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_build_restores_the_blas_thread_count(workers, fail, monkeypatch):
-    # Every factorization and solve, of the patch fits and of the shift
-    # system, runs at one thread; the caller's count holds elsewhere in the
-    # build and comes back after it, also when a factorization fails.
+    # Every patch factorization and solve runs at one thread; the caller's
+    # count holds elsewhere in the build, the shift solve included, and
+    # comes back after it, also when a factorization fails.
     potrf, get, put = localfit._LAPACK
     nodes, values, cov = star_setup(700, seed=25)
     inside, outside = [], []
@@ -832,8 +855,8 @@ def test_build_restores_the_blas_thread_count(workers, fail, monkeypatch):
         put(before)
     assert inside and set(inside) == {1}
     assert set(outside) <= {2}
-    # One factorization and one solve per patch and for the shifts.
-    assert fail or len(inside) == 2 * (len(cov.members) + 1)
+    # One factorization and one solve per patch.
+    assert fail or len(inside) == 2 * len(cov.members)
     assert len(outside) == (0 if workers > 1 else 6 if fail
                             else len(cov.members)) + (not fail)
 
@@ -842,12 +865,11 @@ def test_build_restores_the_blas_thread_count(workers, fail, monkeypatch):
 # rows.  The shifts solve against potential differences from a stand-in
 # for the fits.
 DIRECT_SOLVE_HASHES = textwrap.dedent("""
-    import hashlib, sys
+    import hashlib
     import numpy as np
     from vecpum import cover, glue, localfit, testbed
     from vecpum.experiment import default_config
     from vecpum.kernels import RadialKernel
-    glue.DENSE_SOLVE_MAX = int(sys.argv[1])
     problem, config = testbed.ball_problem(), default_config("ball")
     nodes = testbed.nodes_ball(12000, 3)
     h = cover.spacing_from_q(config.q, problem.area, len(nodes), 3)
@@ -872,40 +894,14 @@ DIRECT_SOLVE_HASHES = textwrap.dedent("""
 """)
 
 
-@pytest.mark.parametrize("dense_max", [glue.DENSE_SOLVE_MAX, 0],
-                         ids=["dense", "sparse"])
-def test_direct_solves_do_not_depend_on_the_blas_thread_count(dense_max):
-    # Called outside a build, the shift solve (461 patches, the dense
-    # Cholesky or, with no dense branch, the sparse LU) and one patch fit
-    # give the same bits at one and two OpenBLAS threads.
-    runs = [run_script(DIRECT_SOLVE_HASHES, str(dense_max),
+def test_direct_solves_do_not_depend_on_the_blas_thread_count():
+    # Called outside a build, the shift solve (461 patches, a sparse LU at
+    # the caller's thread count) and one patch fit give the same bits at
+    # one and two OpenBLAS threads.
+    runs = [run_script(DIRECT_SOLVE_HASHES,
                        OPENBLAS_NUM_THREADS=threads).split()
             for threads in ("1", "2")]
     assert int(runs[0][0]) >= 400 and int(runs[0][1]) >= 200
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("name,n", [("ball", 3000), ("sphere", 2000),
-                                    ("star2d", 2500)])
-def test_dense_shift_solve_matches_cho_factor(name, n, monkeypatch):
-    # The seeded CLI builds' dense shift solves give the bits of the
-    # cho_factor / cho_solve pair they replaced, at the same BLAS thread.
-    problem = testbed.PROBLEMS[name]()
-    nodes = problem.nodes(n, 3)
-    approx, solution = fit_and_glue(problem, nodes, problem.field(nodes),
-                                    default_config(name))
-    graph = glue.build_glue_graph(approx.cover)
-    p, c = glue.build_shift_system(graph, approx.fits)
-    assert len(approx.cover) - 1 <= glue.DENSE_SOLVE_MAX
-    solved = []
-
-    def cho_solve(a, rhs):
-        solved.append(len(a))
-        with localfit.one_blas_thread():
-            return assembly_oracle._solve_spd(a, rhs)
-
-    monkeypatch.setattr(localfit, "_solve_spd", cho_solve)
-    want = glue.solve_shifts(p, c, graph)
-    assert solved == [len(approx.cover) - 1]
-    assert pair_oracle.same_bits(solution.shifts, want.shifts)
-    assert pair_oracle.same_bits(solution.residual, want.residual)
