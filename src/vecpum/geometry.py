@@ -89,9 +89,9 @@ class Surface:
             m = len(n)
             return np.tile(PLANE_D, (m, 1)), np.tile(PLANE_E, (m, 1)), n
         a = np.where(np.abs(n[:, 2:3]) > 0.9, PLANE_D, PLANE_N)
-        e = np.cross(a, n)
+        e = cross(a, n)
         e /= np.sqrt((e * e).sum(-1))[:, None]
-        return np.cross(n, e), e, n
+        return cross(n, e), e, n
 
     def project(self, points):
         """Pull points back onto the surface (used for glue points)."""
@@ -129,16 +129,35 @@ def p_matrix(n):
     return np.eye(3) - np.outer(n, n)
 
 
+def cross(a, b):
+    """a x b over the last axis of float 3-vectors, broadcast as
+    ``np.cross`` and in its operation order, so with its bits:
+    (a1 b2 - a2 b1, a2 b0 - a0 b2, a0 b1 - a1 b0)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast(a, b).shape)
+    o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(a1, b2, out=o0)
+    o0 -= a2 * b1
+    np.multiply(a2, b0, out=o1)
+    o1 -= a0 * b2
+    np.multiply(a0, b1, out=o2)
+    o2 -= a1 * b0
+    return out
+
+
 def tangent_operator(mode, surface, points, vectors):
-    """Map ambient vectors at the points to the mode's field: the rotation
-    n x v (div-free), the tangent projection v - n (n . v) (curl-free on a
-    surface), or the identity (flat space)."""
+    """Map ambient vectors at points that passed ``surface.check`` to the
+    mode's field: the rotation n x v (div-free), the tangent projection
+    v - n (n . v) (curl-free on a surface), or the identity (flat space).
+    The points are not checked again: on the sphere they are their own
+    normals, and the plane's normal is ``PLANE_N``."""
+    if mode == "curl_euclidean":
+        return vectors
+    normals = points if surface.kind == "sphere" else PLANE_N
     if mode == "div_surface":
-        return np.cross(surface.normals(points), vectors)
-    if mode == "curl_surface":
-        normals = surface.normals(points)
-        return vectors - normals * (normals * vectors).sum(-1)[:, None]
-    return vectors
+        return cross(normals, vectors)
+    return vectors - normals * (normals * vectors).sum(-1)[:, None]
 
 
 def embed_points(points2d):

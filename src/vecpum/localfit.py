@@ -22,12 +22,15 @@ with no padding, laid out as the cover's CSR membership, through which
 the table reads its node coordinates.  The
 table's pair kernel ``pair_sums`` is the one evaluator: it forms each
 (point, patch) pair's node terms in chunks of at most ``PAIR_CHUNK`` terms
-and sums them without BLAS.  Field sums are ``bincount``s, which
-add in term order from 0.0; potential sums are ``reduceat`` segments led by
-an explicit 0.0, which reproduce numpy's pairwise row sum.  These are the
-sums a dense evaluation of one fit at a batch of points forms, so a pair's
-bits depend only on its own terms: a point evaluated alone is bit-identical
-to the same point inside a batch, whatever the chunking.
+and sums them without BLAS.  A chunk's field sums, every pair and
+component, are one ``bincount`` (``bin_rows``), which adds in term order
+from 0.0; potential sums are ``reduceat`` segments led by an explicit 0.0,
+which reproduce numpy's pairwise row sum.  These are the sums a dense
+evaluation of one fit at a batch of points forms, so a pair's bits depend
+only on its own terms: a point evaluated alone is bit-identical to the
+same point inside a batch, whatever the chunking.  Chunks are long so that
+threads evaluating point blocks spend most of their time in numpy loops
+that run without the GIL.
 """
 
 import ctypes
@@ -48,9 +51,12 @@ from .kernels import RadialKernel
 GLOBAL_FIT_GUARD = 5000
 TANGENCY_TOL = 1e-10
 _ASSEMBLY_BLOCK = 256
-# Node terms per chunk of pair evaluation, which bounds its working set.
-# Smaller chunks cost throughput in per-chunk numpy calls.
-PAIR_CHUNK = 8192
+# Node terms per chunk of pair evaluation, which bounds its working set:
+# about 4 MB per evaluating thread in R^3.  A chunk makes a few dozen numpy
+# calls, each holding the GIL between its loops, so threads evaluating
+# point blocks overlap only as far as those loops are long: at 8,192 terms
+# two threads were no faster than one, at 32,768 about 1.7 times as fast.
+PAIR_CHUNK = 32768
 
 
 def check_samples(nodes, values, surface, mode):
@@ -140,8 +146,8 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
         # is skew, and R itself (so L R^T is R R^T) as P is symmetric.  As
         # L_ip.(x_i - x_j) = L_ip.x_i - L_ip.x_j, one product with the node
         # coordinates gives every frame contraction with the differences.
-        right = np.cross(normals[:, None, :], rows) if sign > 0 else rows
-        right = right.reshape(-1, dim)
+        right = (geometry.cross(normals[:, None, :], rows) if sign > 0
+                 else rows).reshape(-1, dim)
         left = -right if sign > 0 else right
         node_rows = np.repeat(nodes, k, axis=0)
         r_x = right @ nodes.T
@@ -190,6 +196,17 @@ def assemble_system(kernel, surface, nodes, mode, frames=None):
     # Surface entries (j, i) come through other products and row sums than
     # (i, j), so they are not their bitwise mirror images.
     return 0.5 * (a + a.T)
+
+
+def bin_rows(index, rows, n):
+    """(n, k) sums of the rows of a (k, T) array by bin ``index`` (T,):
+    entry (i, j) sums ``rows[j][index == i]``.  One ``bincount``, with row
+    j of bin i at bin i + j n, adds each bin's terms in term order from
+    0.0, as a ``bincount`` per row would."""
+    k = len(rows)
+    keyed = np.arange(k)[:, None] * n + index
+    return np.bincount(keyed.ravel(), rows.ravel(),
+                       minlength=k * n).reshape(k, n).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,9 +307,9 @@ class FitTable:
             for c in range(dim):
                 ev[c] *= f
                 ev[c] += np.multiply(s, dx[c], out=tmp)
-                raw[:, c] = np.bincount(owner, ev[c], minlength=n_pair)
             del s
-        del dx, ev, r, tmp
+            raw[:] = bin_rows(owner, ev, n_pair)
+        del owner, dx, ev, r, tmp
         f *= proj
         # Each pair's potential terms follow one zero slot.
         lead = start + np.arange(n_pair)
@@ -331,9 +348,10 @@ class LocalFit:
 
     def field_at(self, points):
         """Vector interpolant at the given points (tangent on surfaces)."""
-        return geometry.tangent_operator(
-            self.table.mode, self.table.cover.surface, points,
-            self.field_potential_at(points)[1])
+        surface = self.table.cover.surface
+        points = surface.check(points)
+        return geometry.tangent_operator(self.table.mode, surface, points,
+                                         self.field_potential_at(points)[1])
 
     def field_potential_at(self, points):
         """(potential, unprojected field) sharing one pass over the node
@@ -458,7 +476,7 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
         coef = per_row[:, :1] * rows[:, 0]
         for p in range(1, rows.shape[1]):
             coef = coef + per_row[:, p:p + 1] * rows[:, p]
-    evec = np.cross(normals, coef) if mode == "div_surface" else coef
+    evec = geometry.cross(normals, coef) if mode == "div_surface" else coef
     # The solved system's residual, one row per node; in the orthonormal
     # frame basis its norm equals the tangent residual in R^3.
     miss = (a @ sol - rhs).reshape(n, -1)

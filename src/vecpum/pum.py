@@ -20,8 +20,9 @@ membership and coverage.  One call of ``FitTable.pair_sums`` evaluates the
 local fits on all the pairs: a ``bincount`` sums each pair's field terms in
 node order from 0.0 and a ``reduceat`` segment led by an explicit 0.0 sums
 its potential terms, which are the sums a dense evaluation of that one fit
-forms, bit for bit.  The pair terms are then scattered onto the points in
-ascending patch order.  A point's result therefore does not depend on the
+forms, bit for bit.  The 2 + 3d blend terms of the pairs are then summed
+onto the points, in ascending patch order, by one more ``bincount``
+(``localfit.bin_rows``).  A point's result therefore does not depend on the
 batch around it: pointwise, batched and threaded results are bit-identical.
 The local fields are blended unprojected and the surface operator, which is
 linear and depends only on the point, is applied once per point.
@@ -35,7 +36,8 @@ from . import cover as cover_mod
 from . import geometry
 from . import glue as glue_mod
 from .errors import CoverageError
-from .localfit import FitTable, check_samples, fit_table, map_in_order
+from .localfit import (FitTable, bin_rows, check_samples, fit_table,
+                       map_in_order)
 
 
 @dataclass(frozen=True)
@@ -67,24 +69,23 @@ class PumApproximant:
         return self.fits.mode
 
     def _accumulate(self, points):
-        """Per-point sums of kappa, grad kappa, kappa*raw field,
-        kappa*shifted potential and shifted potential*grad kappa."""
-        m = len(points)
+        """Per-point sums, one row per point, of kappa, grad kappa,
+        kappa*raw field, kappa*shifted potential and shifted
+        potential*grad kappa: 2 + 3d columns."""
+        m, d = points.shape
         inc = self.cover.incidence(points)
         k, grad_k = cover_mod.shepard_terms(self.cover, inc)
         pot, raw = self.fits.pair_sums(points[inc.point], inc.patch)
         shifted = pot + self.shifts.shifts[inc.patch]
-
-        def scatter(terms):
-            # bincount adds in pair order, which is ascending patch order
-            # for every point, so a point's sums do not depend on the batch.
-            if terms.ndim == 1:
-                return np.bincount(inc.point, terms, minlength=m)
-            return np.stack([np.bincount(inc.point, col, minlength=m)
-                             for col in terms.T], axis=1)
-
-        return (scatter(k), scatter(grad_k), scatter(k[:, None] * raw),
-                scatter(k * shifted), scatter(shifted[:, None] * grad_k))
+        terms = np.empty((2 + 3 * d, len(k)))
+        terms[0] = k
+        terms[1:1 + d] = grad_k.T
+        np.multiply(k, raw.T, out=terms[1 + d:1 + 2 * d])
+        np.multiply(k, shifted, out=terms[1 + 2 * d])
+        np.multiply(shifted, grad_k.T, out=terms[2 + 2 * d:])
+        # The sums add in pair order, which is ascending patch order for
+        # every point, so a point's sums do not depend on the batch.
+        return bin_rows(inc.point, terms, m)
 
     def batch_eval_all(self, points, workers=1):
         """(potential, field, naive_field) at covered points.
@@ -105,9 +106,11 @@ class PumApproximant:
         if 1 < workers < n_blocks:
             n_blocks = -(-n_blocks // workers) * workers
         blocks = np.array_split(points, max(1, min(n_blocks, len(points))))
-        parts = map_in_order(self._accumulate, blocks, workers)
-        sum_k, sum_gk, sum_ks, sum_kp, sum_pgk = [
-            np.concatenate([p[k] for p in parts]) for k in range(5)]
+        sums = np.concatenate(map_in_order(self._accumulate, blocks, workers))
+        d = points.shape[1]
+        sum_k, sum_kp = sums[:, 0], sums[:, 1 + 2 * d]
+        sum_gk, sum_ks, sum_pgk = (sums[:, 1:1 + d], sums[:, 1 + d:1 + 2 * d],
+                                   sums[:, 2 + 2 * d:])
         bad = np.nonzero(sum_k == 0.0)[0]
         if len(bad):
             raise CoverageError(
@@ -154,7 +157,9 @@ def build_approximant(cover, kernel, mode, values, gamma=4.0, workers=1):
     # one mmapped block raises the threshold to that block's size and the
     # heap trim threshold to twice it (mallopt(3), M_MMAP_THRESHOLD), after
     # which the per-patch systems reuse heap pages.  The block is dropped at
-    # once and never touched.
+    # once and never touched.  The raised trim threshold (32 MiB) holds for
+    # the malloc arenas of the fit and evaluation threads too, so each
+    # keeps up to that much freed memory instead of returning it.
     np.empty(16 << 20, dtype=np.uint8)
     _, values = check_samples(cover.nodes, values, cover.surface, mode)
     fits = fit_table(cover, values, kernel, mode, workers=workers)

@@ -120,7 +120,7 @@ def u2(points):
     """Div-free sphere field: surface curl x cross grad(psi2), tangent by
     construction."""
     p = geometry.sphere2().check(points)
-    return np.cross(p, grad_psi2(p))
+    return geometry.cross(p, grad_psi2(p))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ def alpha_beta(fit):
     return np.stack([(coef * d).sum(-1), (coef * e).sum(-1)], axis=1)
 
 
+def per_row_bincounts(index, rows, n):
+    """``localfit.bin_rows`` as one ``bincount`` per row: the (n, k) sums
+    of the rows of a (k, T) array by bin ``index``."""
+    return np.stack([np.bincount(index, row, minlength=n) for row in rows],
+                    axis=1)
+
+
 def same_bits(a, b):
     """True when two arrays agree in dtype, shape and every bit."""
     a, b = np.asarray(a), np.asarray(b)

@@ -105,6 +105,21 @@ def test_q_matrix_is_cross_product():
         assert np.allclose(q @ v, np.cross(n, v))
 
 
+def test_cross_matches_numpy_bitwise():
+    # geometry.cross takes np.cross's operation order, so its bits, with
+    # signed zeros, on rows, broadcast frames and a fixed normal.
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 40, 3))
+    a[:5] = 0.0
+    b[3:8, 1] = -0.0
+    pairs = [(a, b), (a[:, None, :], rng.normal(size=(40, 2, 3))),
+             (geometry.PLANE_N, b)]
+    for x, y in pairs:
+        want = np.cross(x, y)
+        assert geometry.cross(x, y).tobytes() == want.tobytes()
+        assert geometry.cross(x, y).shape == want.shape
+
+
 def test_p_matrix_projector():
     p = geometry.p_matrix([0.0, 0.0, 1.0])
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]))

@@ -583,7 +583,7 @@ def pair_case_samples(surface, rng, n):
     return pts, rng.normal(size=(n, surface.dim))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, localfit.PAIR_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, 8192, localfit.PAIR_CHUNK])
 @pytest.mark.parametrize("case", sorted(PAIR_CASES))
 def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
     # Patches of 1 to 57 nodes in one table; every (point, patch) pair must
@@ -639,6 +639,40 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
                            zip(point[pick], patch[pick])]).reshape(
                                len(pick), surface.dim))
         assert pair_oracle.same_bits(psi, pot)
+
+
+def test_one_bincount_sums_as_one_per_row(monkeypatch):
+    # bin_rows keys row j of bin i at i + j n.  Each bin must carry the
+    # bits of a bincount per row: its terms in order from 0.0, so a lone
+    # -0.0 term and an empty bin read +0.0.  Bins 1 and 5 hold one term.
+    index = np.array([3, 0, 0, 5, 3, 0, 1])
+    rows = np.random.default_rng(41).normal(size=(4, len(index)))
+    rows[1] = -0.0
+    rows[2, [1, 3, 6]] = -0.0
+    got = localfit.bin_rows(index, rows, 6)
+    assert pair_oracle.same_bits(
+        got, pair_oracle.per_row_bincounts(index, rows, 6))
+    assert not np.signbit(got[:, 1]).any()
+    assert not np.signbit(got[[1, 2, 4, 5], 2]).any()
+    # In the pair kernel: plane div-free fields, whose z terms are all
+    # zeros, on patches of one node (one-term pairs) and of 9 nodes, longer
+    # than a chunk of 5 terms.
+    monkeypatch.setattr(localfit, "PAIR_CHUNK", 5)
+    rng = np.random.default_rng(42)
+    sizes = (1, 9, 1, 4)
+    pts, vals = random_plane_patch(rng, sum(sizes))
+    cov = stacked_cover(pts, np.split(np.arange(sum(sizes)),
+                                      np.cumsum(sizes)[:-1]), PLANE)
+    table = fit_table(cov, vals, RadialKernel("imq", 3.0), "div_surface")
+    probes = random_plane_patch(rng, 13)[0]
+    point, patch = (a.ravel() for a in np.meshgrid(
+        np.arange(len(probes)), np.arange(len(sizes))))
+    got = table.pair_sums(probes[point], patch)
+    monkeypatch.setattr(localfit, "bin_rows", pair_oracle.per_row_bincounts)
+    want = table.pair_sums(probes[point], patch)
+    assert (got[1][:, 2] == 0.0).all()
+    for a, b in zip(got, want):
+        assert pair_oracle.same_bits(a, b)
 
 
 def test_coefficients_derive_from_eval_vectors():

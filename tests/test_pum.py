@@ -799,6 +799,52 @@ def test_threaded_fits_match_serial_bitwise(workers, monkeypatch):
         assert pair_oracle.same_bits(a, b)
 
 
+def test_blend_sums_match_one_bincount_per_column(star_approx, monkeypatch):
+    # The blend scatters its 2 + 3d columns with one bincount; one bincount
+    # per column must give the same bits.
+    _, _, approx = star_approx
+    pts = star_points(600, seed=33)
+    pts = pts[approx.covered_mask(pts)]
+    got = approx.batch_eval_all(pts)
+    monkeypatch.setattr(pum, "bin_rows", pair_oracle.per_row_bincounts)
+    for a, b in zip(got, approx.batch_eval_all(pts)):
+        assert pair_oracle.same_bits(a, b)
+
+
+@pytest.fixture(scope="module")
+def ball_eval():
+    """The seeded ball approximant, 2,500 covered points uniform in the
+    unit ball and its serial blend at them."""
+    approx, _ = ball_build()
+    rng = np.random.default_rng(32)
+    pts = rng.uniform(-1.0, 1.0, size=(5000, 3))
+    pts = pts[(pts * pts).sum(-1) < 1.0][:2500]
+    pts = pts[approx.covered_mask(pts)]
+    return approx, pts, approx.batch_eval_all(pts)
+
+
+@pytest.mark.parametrize("chunk", [7, 8192, localfit.PAIR_CHUNK])
+def test_blend_bits_depend_on_neither_chunk_nor_workers(ball_eval, chunk,
+                                                        monkeypatch):
+    # A point's blend depends on its own pairs only, however the pair
+    # kernel chunks them and the points are split over threads.  At chunk
+    # 7 every pair is a chunk of its own, so a few hundred points in
+    # blocks of 64 suffice; at the larger chunks the thirds of the points
+    # that three workers take span at least two chunks each.
+    approx, pts, want = ball_eval
+    monkeypatch.setattr(localfit, "PAIR_CHUNK", chunk)
+    if chunk == 7:
+        pts = pts[:300]
+        monkeypatch.setattr(cover, "QUERY_BLOCK", 64)
+    else:
+        third = approx.cover.incidence(pts[:len(pts) // 3]).patch
+        assert approx.cover.member_counts()[third].sum() > 2 * chunk
+    for workers in (1, 2, 3):
+        got = approx.batch_eval_all(pts, workers=workers)
+        for a, b in zip(want, got):
+            assert pair_oracle.same_bits(a[:len(pts)], b)
+
+
 @pytest.mark.skipif(localfit._LAPACK is None,
                     reason="needs scipy's OpenBLAS thread-count symbols")
 @pytest.mark.parametrize("fail", [False, True])
