@@ -5,7 +5,9 @@ extrinsically as ``Q_x grad(f)`` and ``P_x grad(f)``, where ``Q_x v = n x v``
 and ``P_x = I - n n^T`` for the unit normal n at x; ``tangent_operator``
 applies them row-wise.  Supported surfaces are the plane (embedded at
 z = 0), the unit sphere, and flat Euclidean space (where no frames or
-projections apply and the gradient is used directly).
+projections apply and the gradient is used directly).  The plane's fits
+run in its two coordinates (``localfit.fit_patch``) and need no frames;
+its tangent frames are those of the sphere's rule at the normal e_z.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ SURFACE_TOL = 1e-9
 MODES = ("div_surface", "curl_surface", "curl_euclidean")
 
 PLANE_D = np.array([1.0, 0.0, 0.0])
-PLANE_E = np.array([0.0, 1.0, 0.0])
 PLANE_N = np.array([0.0, 0.0, 1.0])
 
 
@@ -78,16 +79,12 @@ class Surface:
         return points
 
     def tangent_frames(self, points):
-        """Orthonormal frames (D, E, N) at on-surface points.
-
-        On the plane the frame is the fixed (1,0,0), (0,1,0), (0,0,1).  On
-        the sphere, e = normalize(a x n) with a = (0,0,1) away from the
-        poles and a = (1,0,0) when |n_z| > 0.9, then d = n x e.
+        """Orthonormal frames (D, E, N) at on-surface points:
+        e = normalize(a x n) with a = (0,0,1) where |n_z| <= 0.9 and
+        a = (1,0,0) elsewhere, then d = n x e.  On the plane that is
+        (1,0,0), (0,-1,0), (0,0,1) at every point.
         """
         n = self.normals(points)
-        if self.kind == "plane":
-            m = len(n)
-            return np.tile(PLANE_D, (m, 1)), np.tile(PLANE_E, (m, 1)), n
         a = np.where(np.abs(n[:, 2:3]) > 0.9, PLANE_D, PLANE_N)
         e = cross(a, n)
         e /= np.sqrt((e * e).sum(-1))[:, None]

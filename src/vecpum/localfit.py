@@ -5,21 +5,26 @@ H = F*I + S*rr^T, block (i, j) is sign * L_i H R_j^T with L_i = B_i O_i and
 R_j = B_j O_j^T, for frame rows B_i (the tangent frame [d_i e_i] on a
 surface, the identity in flat R^d) and the mode's operator O: Q v = n x v
 (div-free, sign +1), P = I - nn^T (curl-free on a surface) or I (flat,
-both sign -1).  The systems are symmetric positive definite for the shipped
-kernels, and the assembled matrices are exactly symmetric: flat blocks are
-written so, surface ones symmetrized.  Each is factored in place on one
-Fortran-ordered copy; Cholesky failures surface as PatchFitError, never
-regularized.  ``_solve_spd``, the package's one dense SPD solve, serves
-the patch fits alone.  It calls scipy's own LAPACK ``dpotrf`` through
+both sign -1).  The plane takes the flat branch in its first two
+coordinates: with n = e_z, Q is the rotation J, and its div-free fit is J
+applied to the flat curl-free fit of samples turned by J^T (``fit_patch``),
+so the surface branch serves the sphere alone.  The systems are symmetric
+positive definite for the shipped kernels, and the assembled matrices are
+exactly symmetric: flat blocks are written so, surface ones symmetrized.
+Each is factored in place on one Fortran-ordered copy; Cholesky failures
+and non-finite systems surface as PatchFitError, never regularized.
+``_solve_spd``, the package's one dense SPD solve, serves the patch fits
+alone.  It calls scipy's own LAPACK ``dpotrf`` through
 ctypes, which releases the GIL, at one OpenBLAS thread: its bits depend
 on no thread or core count.
 
 ``fit_table`` solves every patch of a cover (``fit_patch`` solves one),
 above one worker on ``min(workers, patches)`` threads while the caller
 waits (``map_in_order``).  It writes them straight into one ``FitTable``:
-the eval vectors of all patches in one (d, T) table, patch after patch
-with no padding, laid out as the cover's CSR membership, through which
-the table reads its node coordinates.  The
+the eval vectors of all patches in one (d, T) table, d = 2 on the plane,
+patch after patch with no padding, laid out as the cover's CSR
+membership, through which the table reads the first d node coordinates.
+The
 table's pair kernel ``pair_sums`` is the one evaluator: it forms each
 (point, patch) pair's node terms in chunks of at most ``PAIR_CHUNK`` terms
 and sums them without BLAS.  A chunk's field sums, every pair and
@@ -50,6 +55,8 @@ from .kernels import RadialKernel
 
 GLOBAL_FIT_GUARD = 5000
 TANGENCY_TOL = 1e-10
+# The geometry the plane's patches are fit in.
+_R2 = geometry.euclidean(2)
 _ASSEMBLY_BLOCK = 256
 # Node terms per chunk of pair evaluation, which bounds its working set:
 # about 4 MB per evaluating thread in R^3.  A chunk makes a few dozen numpy
@@ -216,7 +223,9 @@ class FitTable:
     Patch l owns the table columns ``cols = cover.offsets[l]:offsets[l + 1]``:
     its nodes are the rows ``cover.member_index[cols]`` of ``cover.nodes``
     and its eval vectors are ``eval_vectors[:, cols]``, Q_j c_j (div-free)
-    or c_j (curl-free) for the expansion coefficients c_j.  ``table[l]`` is
+    or c_j (curl-free) for the expansion coefficients c_j.  On the plane
+    they have two rows, those of the flat fit (``fit_patch``), and the
+    table reads the nodes' and points' first two coordinates alone.  ``table[l]`` is
     patch l's ``LocalFit`` view.  The arrays the table owns are read-only.
     """
 
@@ -229,6 +238,13 @@ class FitTable:
     def __post_init__(self):
         for owned in (self.eval_vectors, self.fit_residual):
             owned.flags.writeable = False
+        # The node coordinates the fits read, row for row: ``cover.nodes``
+        # itself, or on the plane one contiguous copy of its first two
+        # columns, which ``np.take`` would otherwise copy on every chunk.
+        coords = np.ascontiguousarray(
+            self.cover.nodes[:, :len(self.eval_vectors)])
+        coords.flags.writeable = False
+        object.__setattr__(self, "_coords", coords)
 
     def __len__(self):
         return len(self.fit_residual)
@@ -265,7 +281,8 @@ class FitTable:
         count = offsets[patch + 1] - first
         ends = np.cumsum(count)
         pot = np.empty(len(patch))
-        raw = np.empty(points.shape) if with_field else None
+        # Zeros: the plane's fits are flat, and their raw fields get z = 0.
+        raw = np.zeros(points.shape) if with_field else None
         lo = 0
         while lo < len(patch):
             cap = ends[lo] - count[lo] + PAIR_CHUNK
@@ -279,16 +296,18 @@ class FitTable:
         return pot, raw
 
     def _chunk(self, points, first, count, pot, raw):
-        n_pair, dim = points.shape
+        # The fits' own coordinates: the first two of the plane's points.
+        dim = len(self.eval_vectors)
+        n_pair = len(points)
         n_term = int(count.sum())
         owner = np.repeat(np.arange(n_pair), count)
         start = np.cumsum(count) - count
         cols = np.arange(n_term) + np.repeat(first - start, count)
         # (dim, n_term) rows: the pair's point minus the term's node, and
         # the term's eval vector.
-        dx = np.repeat(points.T, count, axis=1)
-        dx -= np.take(self.cover.nodes,
-                      np.take(self.cover.member_index, cols), axis=0).T
+        dx = np.repeat(points.T[:dim], count, axis=1)
+        dx -= np.take(self._coords, np.take(self.cover.member_index, cols),
+                      axis=0).T
         ev = np.take(self.eval_vectors, cols, axis=1)
         del cols
         tmp = np.empty(n_term)
@@ -308,7 +327,7 @@ class FitTable:
                 ev[c] *= f
                 ev[c] += np.multiply(s, dx[c], out=tmp)
             del s
-            raw[:] = bin_rows(owner, ev, n_pair)
+            raw[:, :dim] = bin_rows(owner, ev, n_pair)
         del owner, dx, ev, r, tmp
         f *= proj
         # Each pair's potential terms follow one zero slot.
@@ -338,12 +357,14 @@ class LocalFit:
         return float(self.table.fit_residual[self.patch])
 
     def _at(self, points, with_field):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = self.table.cover.surface.check(points)
         return self.table.pair_sums(points, np.full(len(points), self.patch),
                                     with_field)
 
     def potential_at(self, points):
-        """Scalar potential of the interpolant at the given points."""
+        """Scalar potential of the interpolant at the given points;
+        ValueError for points that fail ``Surface.check``, as in every
+        evaluator."""
         return self._at(points, False)[0]
 
     def field_at(self, points):
@@ -453,13 +474,35 @@ def _solve_spd(a, rhs):
         return lapack.dpotrs(factor, rhs, lower=0)[0]
 
 
+def _fit_error(a, patch_id):
+    """The PatchFitError of system ``a``: its condition number, or no
+    estimate (inf) where ``a`` has non-finite entries."""
+    if np.isfinite(a).all():
+        return PatchFitError(patch_id, float(np.linalg.cond(a)))
+    return PatchFitError(patch_id, np.inf, message=(
+        f"local system for patch {patch_id} has non-finite entries: the "
+        f"kernel overflows at this shape parameter"))
+
+
 def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     """Solve the local system on samples that passed ``check_samples``.
 
     Returns the patch's eval vectors as a row-major (d, n) array and its
     fit residual, the relative max-norm residual of the solved system.
-    PatchFitError, with the system's condition number, if Cholesky fails.
+    PatchFitError, with the system's condition number, if Cholesky fails
+    or the system or its fit residual is not finite.
+
+    The plane is fit in R^2.  Its normal is the constant e_z, so Q is the
+    rotation J, and the div-free fit of samples u is J applied to the flat
+    curl-free fit d of J^T u = (u_y, -u_x), with the same potential; the
+    curl-free fit is the flat one outright.  The eval vectors are the (2, n)
+    rows d, negated in ``div_surface`` mode, whose kernel sign is +1 where
+    the flat fit's is -1.
     """
+    turned = surface.kind == "plane" and mode == "div_surface"
+    if surface.kind == "plane":
+        values = values[:, 1::-1] * [1.0, -1.0] if turned else values[:, :2]
+        nodes, surface, mode = nodes[:, :2], _R2, "curl_euclidean"
     n = len(nodes)
     rows, normals = frames = _frames(mode, surface, nodes)
     a = assemble_system(kernel, surface, nodes, mode, frames=frames)
@@ -469,13 +512,10 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     try:
         sol = _solve_spd(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise PatchFitError(patch_id, float(np.linalg.cond(a))) from exc
-    coef = per_row = sol.reshape(n, -1)
+        raise _fit_error(a, patch_id) from exc
+    coef = sol.reshape(n, -1)
     if not flat:
-        # sum_p sol_p b_p from the first product: plane z keeps its -0.0.
-        coef = per_row[:, :1] * rows[:, 0]
-        for p in range(1, rows.shape[1]):
-            coef = coef + per_row[:, p:p + 1] * rows[:, p]
+        coef = coef[:, :1] * rows[:, 0] + coef[:, 1:] * rows[:, 1]
     evec = geometry.cross(normals, coef) if mode == "div_surface" else coef
     # The solved system's residual, one row per node; in the orthonormal
     # frame basis its norm equals the tangent residual in R^3.
@@ -483,7 +523,11 @@ def fit_patch(nodes, values, kernel, surface, mode, patch_id=None):
     scale = float(np.sqrt((values * values).sum(-1)).max())
     worst = float(np.sqrt((miss * miss).sum(-1)).max())
     residual = worst / scale if scale > 0 else worst
-    return np.ascontiguousarray(evec.T), residual
+    if not np.isfinite(residual):
+        # potrf factors a matrix with NaN entries without complaint (info
+        # 0), so a system the kernel overflowed surfaces here.
+        raise _fit_error(a, patch_id)
+    return np.ascontiguousarray((-evec if turned else evec).T), residual
 
 
 def map_in_order(fn, items, workers):

@@ -4,7 +4,9 @@ coefficients read back from its eval vectors.
 The evaluation is the arithmetic ``LocalFit`` used before the pair kernel
 (``FitTable.pair_sums``): one (points, nodes, d) difference array per fit,
 a pairwise row sum for the potential and an ordered sum over the node axis
-for the field.  The kernel must reproduce it bit for bit.
+for the field.  The kernel must reproduce it bit for bit.  A fit reads the
+first d coordinates, d the number of rows of its eval vectors: two on the
+plane, whose fits are flat and whose raw fields get z = 0.
 """
 
 import numpy as np
@@ -20,7 +22,8 @@ def eval_vectors(fit):
 
 def _terms(fit, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = points[:, None, :] - fit.nodes[None, :, :]
+    d = len(fit.table.eval_vectors)
+    diff = points[:, None, :d] - fit.nodes[None, :, :d]
     r = np.sqrt((diff * diff).sum(-1))
     evec = np.ascontiguousarray(eval_vectors(fit))
     proj = (diff * evec[None, :, :]).sum(-1)
@@ -40,18 +43,22 @@ def field_potential(fit, points):
     f, s = fit.table.kernel.hessian_coeffs(r)
     sign = fit.table.sign
     pot = sign * (f * proj).sum(-1)
-    raw = sign * (f[:, :, None] * evec[None, :, :] +
-                  (s * proj)[:, :, None] * diff).sum(axis=1)
-    return pot, raw
+    raw = np.zeros((len(diff), fit.nodes.shape[1]))
+    raw[:, :diff.shape[-1]] = (f[:, :, None] * evec[None, :, :] +
+                               (s * proj)[:, :, None] * diff).sum(axis=1)
+    return pot, sign * raw
 
 
 def coef_vectors(fit):
-    """The fit's expansion coefficients c_j: its eval vectors, or for
-    div-free fits c_j = (n_j x c_j) x n_j of the tangent c_j."""
+    """The fit's expansion coefficients c_j in the fit's coordinates: its
+    eval vectors, or for div-free fits c_j = (n_j x c_j) x n_j of the
+    tangent c_j, in R^3."""
+    evec = eval_vectors(fit)
     if fit.table.mode != "div_surface":
-        return eval_vectors(fit)
-    return np.cross(eval_vectors(fit),
-                    fit.table.cover.surface.normals(fit.nodes))
+        return evec
+    padded = np.zeros((len(evec), 3))
+    padded[:, :evec.shape[1]] = evec
+    return np.cross(padded, fit.table.cover.surface.normals(fit.nodes))
 
 
 def alpha_beta(fit):

@@ -493,6 +493,25 @@ def test_cli_patch_fit_failure_is_a_run_failure(capsys):
     assert "not numerically positive definite" in err
 
 
+@pytest.mark.parametrize("problem", [["star2d", "--n", "2500"],
+                                     ["sphere", "--kernel", "matern4",
+                                      "--n", "2000"]],
+                         ids=["star2d-imq", "sphere-matern4"])
+def test_cli_kernel_overflow_is_a_run_failure(problem, capsys):
+    # At eps=1e78 eps^4 overflows in both kernels' Hessian coefficients, and
+    # the local systems hold NaN, which the Cholesky factorization passes
+    # through as a success.  numpy warns, and the fit must then fail with
+    # the typed error: never exit 0 with NaN errors.
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["--problem", *problem, "--trials", "1",
+                         "--eval-n", "500", "--eps", "1e78"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("vecpum: run failed: stage 'fit' failed")
+    assert "local system for patch 0 has non-finite entries" in err
+    assert "nan" not in out
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n"])
 @pytest.mark.parametrize("empty", ["nodes", "values"])
 def test_cli_custom_file_without_samples(empty, text, tmp_path, capsys,

@@ -63,11 +63,15 @@ def test_check_points():
 
 
 def test_plane_frame_is_fixed():
+    # The sphere's rule at the normal e_z: a = (1,0,0), e = a x n, d = n x e,
+    # the same orthonormal frame at every point of the plane.
     s = geometry.plane2d()
-    d, e, n = s.tangent_frames(np.array([[0.4, 0.7, 0.0]]))
-    assert np.array_equal(d[0], [1.0, 0.0, 0.0])
-    assert np.array_equal(e[0], [0.0, 1.0, 0.0])
-    assert np.array_equal(n[0], [0.0, 0.0, 1.0])
+    d, e, n = s.tangent_frames(np.array([[0.4, 0.7, 0.0], [-3.0, 2.0, 0.0]]))
+    for i in range(2):
+        assert np.array_equal(d[i], [1.0, 0.0, 0.0])
+        assert np.array_equal(e[i], [0.0, -1.0, 0.0])
+        assert np.array_equal(n[i], [0.0, 0.0, 1.0])
+    assert np.array_equal(np.cross(n, e), d)
 
 
 def test_sphere_frames_orthonormal():

@@ -159,7 +159,8 @@ def test_small_system_brute_force_oracle(n):
     expect = np.linalg.solve(a, vals2.reshape(-1))
     fit = fit_one(geometry.embed_points(nodes2),
                   geometry.embed_points(vals2), k, PLANE, "div_surface")
-    got = pair_oracle.alpha_beta(fit).reshape(-1)
+    # The coefficients' components in the plane's (x, y) axes.
+    got = pair_oracle.coef_vectors(fit)[:, :2].reshape(-1)
     assert np.abs(got - expect).max() < 1e-10
 
 
@@ -272,7 +273,7 @@ def test_plane_fit_matches_truncated_evaluation():
     pts, vals = random_plane_patch(rng, 25)
     fit = fit_one(pts, vals, k, PLANE, "div_surface")
     fxx, fyy, fxy = _sympy_imq_second_derivs(eps)
-    alpha_beta = pair_oracle.alpha_beta(fit)
+    alpha_beta = pair_oracle.coef_vectors(fit)[:, :2]
     probes = rng.uniform(-1, 1, size=(100, 2))
     for p in probes:
         acc = np.zeros(2)
@@ -309,13 +310,15 @@ def test_potential_consistency_div_modes():
         fld = fit.field_at(probes)
         scale = np.sqrt((fld * fld).sum(-1)).max()
         for x, f in zip(probes, fld):
+            # The surface gradient from central differences along the
+            # tangent frame, on the surface (the evaluators refuse points
+            # off it); n x grad sees the tangent part alone.
+            d, e, n = (v[0] for v in surface.tangent_frames(x[None]))
             grad = np.zeros(3)
-            for a in range(3):
-                eax = np.zeros(3)
-                eax[a] = step
-                grad[a] = (fit.potential_at((x + eax)[None])[0]
-                           - fit.potential_at((x - eax)[None])[0]) / (2 * step)
-            n = surface.normals(x[None])[0]
+            for t in (d, e):
+                ends = surface.project(np.array([x + step * t, x - step * t]))
+                pot = fit.potential_at(ends)
+                grad += t * (pot[0] - pot[1]) / (2 * step)
             assert np.abs(np.cross(n, grad) - f).max() < 1e-5 * scale
 
 
@@ -553,6 +556,24 @@ def test_factorization_failure_raises_patch_error():
     assert err.value.cond > 1e12
 
 
+@pytest.mark.parametrize("case", INTERPOLATION_CASES)
+@pytest.mark.parametrize("family", ["imq", "matern4"])
+def test_non_finite_system_raises_patch_error(case, family):
+    # At eps=1e78 eps^4 overflows and the system holds NaN, which potrf
+    # factors without complaint: the fit must still fail, typed, with no
+    # condition estimate, rather than return NaN eval vectors.
+    pts, vals, surface, mode, _ = interpolation_case(
+        case, np.random.default_rng(7))
+    with pytest.warns(RuntimeWarning), pytest.raises(PatchFitError) as err:
+        fit_patch(pts, vals, RadialKernel(family, 1e78), surface, mode,
+                  patch_id=3)
+    assert err.value.patch_id == 3
+    assert err.value.cond == np.inf
+    assert str(err.value) == (
+        "local system for patch 3 has non-finite entries: the kernel "
+        "overflows at this shape parameter")
+
+
 def test_mode_surface_mismatch_rejected():
     pts = np.array([[0.0, 0.0, 0.0]])
     vals = np.array([[1.0, 0.0, 0.0]])
@@ -641,6 +662,52 @@ def test_pair_kernel_matches_dense_oracle(case, chunk, monkeypatch):
         assert pair_oracle.same_bits(psi, pot)
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 8192, localfit.PAIR_CHUNK])
+@pytest.mark.parametrize("mode", ["div_surface", "curl_surface"])
+def test_flat_plane_fit_matches_embedded_reference(mode, chunk, monkeypatch):
+    # The plane is fit in R^2, as a curl-free problem on turned samples in
+    # div_surface mode.  Its potentials and fields must be those of the
+    # embedded fit (frames, Q or P, in R^3) of assembly_oracle, to within
+    # rounding, for every chunking of the pairs.  The reference table holds
+    # the embedded fits' 3-row eval vectors, which the pair kernel reads
+    # in three coordinates.
+    monkeypatch.setattr(localfit, "PAIR_CHUNK", chunk)
+    kernel = RadialKernel("imq", 13.0)
+    rng = np.random.default_rng(43)
+    sizes = (1, 9, 57, 23)
+    samples = [random_plane_patch(rng, n, scale=0.2) for n in sizes]
+    nodes = np.concatenate([pts for pts, _ in samples])
+    values = np.concatenate([vals for _, vals in samples])
+    cov = stacked_cover(nodes, np.split(np.arange(len(nodes)),
+                                        np.cumsum(sizes)[:-1]), PLANE)
+    table = fit_table(cov, values, kernel, mode)
+    assert table.eval_vectors.shape == (2, len(nodes))
+    embedded = [assembly_oracle.fit_patch(pts, vals, kernel, PLANE, mode)
+                for pts, vals in samples]
+    reference = localfit.FitTable(
+        mode=mode, kernel=kernel, cover=cov,
+        eval_vectors=np.concatenate([evec for evec, _ in embedded], axis=1),
+        fit_residual=np.array([res for _, res in embedded]))
+    probes = random_plane_patch(rng, 13, scale=0.2)[0]
+    point, patch = (a.ravel() for a in np.meshgrid(
+        np.arange(len(probes)), np.arange(len(sizes))))
+    pts = probes[point]
+    (pot, raw), (want_pot, want_raw) = (
+        t.pair_sums(pts, patch) for t in (table, reference))
+    assert np.abs(pot - want_pot).max() <= 1e-12 * np.abs(want_pot).max()
+    field, want_field = (geometry.tangent_operator(mode, PLANE, pts, r)
+                         for r in (raw, want_raw))
+    assert (field[:, 2] == 0.0).all()
+    assert np.abs(field - want_field).max() <= \
+        1e-12 * np.abs(want_field).max()
+    assert table.fit_residual.max() <= 1e-12
+    # A pair evaluated alone carries its bits inside the batch.
+    for i in (0, 17, len(pts) - 1):
+        alone = table.pair_sums(pts[i:i + 1], patch[i:i + 1])
+        assert pair_oracle.same_bits(alone[0], pot[i:i + 1])
+        assert pair_oracle.same_bits(alone[1], raw[i:i + 1])
+
+
 def test_one_bincount_sums_as_one_per_row(monkeypatch):
     # bin_rows keys row j of bin i at i + j n.  Each bin must carry the
     # bits of a bincount per row: its terms in order from 0.0, so a lone
@@ -654,25 +721,31 @@ def test_one_bincount_sums_as_one_per_row(monkeypatch):
         got, pair_oracle.per_row_bincounts(index, rows, 6))
     assert not np.signbit(got[:, 1]).any()
     assert not np.signbit(got[[1, 2, 4, 5], 2]).any()
-    # In the pair kernel: plane div-free fields, whose z terms are all
-    # zeros, on patches of one node (one-term pairs) and of 9 nodes, longer
-    # than a chunk of 5 terms.
+    # In the pair kernel: plane div-free fields on patches of one node
+    # (one-term pairs) and of 9 nodes, longer than a chunk of 5 terms; the
+    # flat fits, and the same fits with a zero z row, read in three
+    # coordinates, whose z terms are all zeros.
     monkeypatch.setattr(localfit, "PAIR_CHUNK", 5)
     rng = np.random.default_rng(42)
     sizes = (1, 9, 1, 4)
     pts, vals = random_plane_patch(rng, sum(sizes))
     cov = stacked_cover(pts, np.split(np.arange(sum(sizes)),
                                       np.cumsum(sizes)[:-1]), PLANE)
-    table = fit_table(cov, vals, RadialKernel("imq", 3.0), "div_surface")
+    flat = fit_table(cov, vals, RadialKernel("imq", 3.0), "div_surface")
+    padded = localfit.FitTable(
+        mode=flat.mode, kernel=flat.kernel, cover=cov,
+        eval_vectors=np.vstack([flat.eval_vectors, np.zeros(len(pts))]),
+        fit_residual=flat.fit_residual)
     probes = random_plane_patch(rng, 13)[0]
     point, patch = (a.ravel() for a in np.meshgrid(
         np.arange(len(probes)), np.arange(len(sizes))))
-    got = table.pair_sums(probes[point], patch)
+    got = [t.pair_sums(probes[point], patch) for t in (flat, padded)]
     monkeypatch.setattr(localfit, "bin_rows", pair_oracle.per_row_bincounts)
-    want = table.pair_sums(probes[point], patch)
-    assert (got[1][:, 2] == 0.0).all()
-    for a, b in zip(got, want):
-        assert pair_oracle.same_bits(a, b)
+    want = [t.pair_sums(probes[point], patch) for t in (flat, padded)]
+    for table_got, table_want in zip(got, want):
+        assert (table_got[1][:, 2] == 0.0).all()
+        for a, b in zip(table_got, table_want):
+            assert pair_oracle.same_bits(a, b)
 
 
 def test_coefficients_derive_from_eval_vectors():
@@ -712,6 +785,23 @@ ORACLE_GEOMETRIES = {
 ORACLE_SIZES = (1, 2, 19, 37, 256, 257, 300, 600)
 
 
+def oracle_fit(nodes, values, kernel, surface, mode, patch_id=None):
+    """``assembly_oracle.fit_patch``, the plane through its flat body: the
+    fit ``fit_patch`` solves, of the samples in R^2, turned by J^T to
+    (u_y, -u_x) for ``div_surface``, whose eval vectors are then minus the
+    flat fit's."""
+    if surface is not PLANE:
+        return assembly_oracle.fit_patch(nodes, values, kernel, surface, mode,
+                                         patch_id)
+    turned = mode == "div_surface"
+    flat = (np.stack([values[:, 1], -values[:, 0]], axis=1) if turned
+            else values[:, :2])
+    evec, residual = assembly_oracle.fit_patch(
+        nodes[:, :2], flat, kernel, geometry.euclidean(2), "curl_euclidean",
+        patch_id)
+    return (-evec if turned else evec), residual
+
+
 def oracle_patch(name, n):
     """The n nodes of a Poisson-disk set of 2000 nearest to one of them,
     with tangent values (plane values have z = 0)."""
@@ -740,7 +830,7 @@ def test_one_formulation_matches_per_mode_bodies(family, name, n):
     # Every mode's system is sign * L H R^T over frame rows, flat R^d with
     # the identity frame; it must carry the bits of the separate flat and
     # surface bodies it replaced: the matrices, and for n <= 300 the eval
-    # vectors (the -0.0 z components of plane curl-free ones included) and
+    # vectors (the plane's from the flat body, see ``oracle_fit``) and
     # the fit residual, the oracle solving at the one BLAS thread that
     # fit_patch factors at.  The solve factors a.copy().T as a in Fortran
     # order, so every bit of a must equal its mirror: flat systems are
@@ -757,8 +847,8 @@ def test_one_formulation_matches_per_mode_bodies(family, name, n):
         return
     evec, residual = fit_patch(nodes, values, kernel, surface, mode)
     with localfit.one_blas_thread():
-        want_evec, want_residual = assembly_oracle.fit_patch(
-            nodes, values, kernel, surface, mode)
+        want_evec, want_residual = oracle_fit(nodes, values, kernel, surface,
+                                              mode)
     assert pair_oracle.same_bits(evec, want_evec)
     assert pair_oracle.same_bits(residual, want_residual)
 
@@ -805,8 +895,7 @@ def test_in_place_solve_fails_as_cho_factor(name):
         with pytest.raises(np.linalg.LinAlgError) as want:
             assembly_oracle._solve_spd(a, rhs)
         with pytest.raises(PatchFitError) as want_fit:
-            assembly_oracle.fit_patch(nodes, values, kernel, surface, mode,
-                                      patch_id=5)
+            oracle_fit(nodes, values, kernel, surface, mode, patch_id=5)
     kept = a.copy()
     with pytest.raises(np.linalg.LinAlgError) as got:
         localfit._solve_spd(a, rhs)

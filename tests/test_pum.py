@@ -203,8 +203,9 @@ def test_fits_live_in_one_table(request, name):
     table, cov = approx.fits, approx.cover
     assert isinstance(table, localfit.FitTable)
     assert table.cover is cov
-    assert table.eval_vectors.shape == (cov.nodes.shape[1],
-                                        len(cov.member_index))
+    # The plane's fits are flat, in its two coordinates.
+    dim = 2 if name == "star" else cov.nodes.shape[1]
+    assert table.eval_vectors.shape == (dim, len(cov.member_index))
     assert len(table) == len(cov)
     for l, (fit, idx) in enumerate(zip(table, cov.members)):
         assert fit.patch == l and fit.table is table
@@ -214,6 +215,14 @@ def test_fits_live_in_one_table(request, name):
         assert not any(isinstance(v, np.ndarray) for v in vars(fit).values())
         assert np.array_equal(fit.nodes, cov.nodes[idx])
     assert not table.eval_vectors.flags.writeable
+    # The node coordinates the pair kernel reads: the cover's own array, or
+    # on the plane one read-only copy of its first two columns.
+    if name == "star":
+        assert pair_oracle.same_bits(table._coords,
+                                     np.ascontiguousarray(cov.nodes[:, :2]))
+    else:
+        assert table._coords.base is cov.nodes
+    assert not table._coords.flags.writeable
     # The pair kernel reads the table row by row (one coordinate at a time).
     assert table.eval_vectors.flags.c_contiguous
 
@@ -236,6 +245,27 @@ def test_points_off_the_surface_rejected(request, name):
         with pytest.raises(ValueError,
                            match=rf"off the {name} by up to 1\.000e-06"):
             call(pts)
+
+
+@pytest.mark.parametrize("name", ["plane", "sphere"])
+def test_fit_evaluators_check_points(request, name):
+    # Every evaluator of one fit runs the surface's point check: a point off
+    # the surface is a ValueError for the potential too, never a number.
+    if name == "plane":
+        fit = request.getfixturevalue("star_approx")[2].fits[0]
+        worst = 2
+    else:
+        fit = request.getfixturevalue("sphere_approx").fits[0]
+        worst = 1
+    for call in (fit.potential_at, fit.field_potential_at, fit.field_at):
+        with pytest.raises(ValueError,
+                           match=rf"off the {name} by up to {worst}\.000e"):
+            call([[0.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match="columns"):
+            call([[0.0, 1.0]])
+    on = fit.nodes[:3]
+    assert pair_oracle.same_bits(fit.potential_at(on),
+                                 fit.field_potential_at(on)[0])
 
 
 @pytest.mark.parametrize("name", ["star", "ball"])
